@@ -3,13 +3,11 @@
 
 Two sweeps: lambda_c and sigma versus the period q at p = 1, and versus the
 numerator p at fixed prime period q = 19.  The growth rate is evaluated at
-lambda = delta, i.e. above threshold everywhere.  Set PT_SL_THREADS to
-parallelize over grid points.
+lambda = delta, i.e. above threshold everywhere.
 """
 
 import argparse
 import math
-import os
 from pathlib import Path
 
 from ptsl import harper_family, sweep
@@ -31,7 +29,6 @@ def main() -> None:
     parser.add_argument("--qmax", type=int, default=20)
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
-    workers = max(1, int(os.environ.get("PT_SL_THREADS", "1")))
 
     q_rows = sweep(
         lambda q: harper_family(DELTA, 1, q),
@@ -40,7 +37,6 @@ def main() -> None:
         sigma_lambda=DELTA,
         tol_lambda=1e-4,
         num_k=512,
-        max_workers=workers,
     )
     write_rows(args.outdir / "sweep_q.csv", q_rows)
     fit = [(row.param, math.log(row.sigma)) for row in q_rows if row.sigma > 0]
@@ -59,7 +55,6 @@ def main() -> None:
         sigma_lambda=DELTA,
         tol_lambda=1e-4,
         num_k=512,
-        max_workers=workers,
     )
     write_rows(args.outdir / "sweep_p_q19.csv", p_rows)
     sigmas = [row.sigma for row in p_rows]

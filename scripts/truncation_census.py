@@ -26,9 +26,10 @@ def main() -> None:
         fh.write("n0,re_E,im_E,abs_S11,class,loc_length\n")
         for n0 in range(Q):
             spec = build_harper(HarperParams(DELTA, LAM, P, Q, n0))
-            verdict = "real" if spectrum_reality(spec).real else "complex"
+            records = edge_spectrum(spec)
+            verdict = "real" if spectrum_reality(spec, records=records).real else "complex"
             print(f"n0 = {n0}  (spectrum {verdict})")
-            for r in edge_spectrum(spec):
+            for r in records:
                 length = f"{r.localization_length:.17g}" if r.localization_length else ""
                 fh.write(
                     f"{n0},{r.energy.real:.17g},{r.energy.imag:.17g},"

@@ -27,7 +27,6 @@ from .dynamics import (
     boundary_growth_rate,
     default_site_count,
     growth_rate_estimate,
-    open_chain_hamiltonian,
     propagate,
     single_site_excitation,
 )
@@ -50,6 +49,7 @@ from .lattice import (
     SuperlatticeSpec,
     build_harper,
     check_pt_symmetry,
+    family_from_json,
     harper_family,
     spec_from_json,
     spec_to_json,
@@ -57,9 +57,7 @@ from .lattice import (
 from .numerics import (
     ComplexPolynomial,
     NumericsError,
-    OdeResult,
     eig_complex,
-    integrate_ode,
     poly_roots,
 )
 from .transfer import (
@@ -81,7 +79,6 @@ __all__ = [
     "HarperParams",
     "LatticeError",
     "NumericsError",
-    "OdeResult",
     "ParametricLattice",
     "PhaseDiagnosis",
     "PropagationResult",
@@ -105,13 +102,12 @@ __all__ = [
     "edge_candidate_matrix",
     "edge_spectrum",
     "eig_complex",
+    "family_from_json",
     "growth_rate_estimate",
     "harper_family",
     "in_continuous_spectrum",
-    "integrate_ode",
     "localization_length",
     "max_growth_rate",
-    "open_chain_hamiltonian",
     "period_matrix",
     "poly_roots",
     "propagate",

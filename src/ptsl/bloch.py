@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -171,8 +170,10 @@ def breaking_threshold(
     reported as a warning and the first is refined.  If the family never
     breaks, ``lambda_c`` is pinned at ``lambda_max`` with the flag set.
     """
-    if lambda_max <= 0:
-        raise ValueError("lambda_max must be positive")
+    if not (lambda_max > 0 and math.isfinite(lambda_max)):
+        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
+    if not (tol_lambda > 0 and math.isfinite(tol_lambda)):
+        raise ValueError(f"tol_lambda must be positive and finite, got {tol_lambda}")
 
     def unbroken(lam: float) -> bool:
         return diagnose_pt_phase(family.at(lam), tol=reality_tol).unbroken
@@ -231,14 +232,12 @@ def sweep(
     sigma_lambda: float | Callable[[int], float],
     tol_lambda: float = 1e-4,
     num_k: int = 256,
-    max_workers: int = 1,
 ) -> list[SweepRow]:
     """Threshold and growth rate per parameter value, in parameter order.
 
     ``sigma_lambda`` fixes the non-Hermitian strength at which the growth
     rate is evaluated (a constant or a per-parameter callable).  Rows for
-    never-breaking families carry ``lambda_c = inf``.  Grid points are
-    independent, so they may be evaluated by a small thread pool.
+    never-breaking families carry ``lambda_c = inf``.
     """
 
     def one(param: int) -> SweepRow:
@@ -249,10 +248,4 @@ def sweep(
         lambda_c = math.inf if threshold.never_broken else threshold.lambda_c
         return SweepRow(param=int(param), lambda_c=lambda_c, sigma=sigma)
 
-    params = list(params)
-    if not params:
-        return []
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one, params))
     return [one(p) for p in params]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
 from pathlib import Path
@@ -37,6 +37,7 @@ from .lattice import (
     LatticeError,
     ParametricLattice,
     build_harper,
+    family_from_json,
     harper_family,
     spec_from_json,
 )
@@ -89,17 +90,7 @@ def _load_spec(args, parser: argparse.ArgumentParser):
 def _load_family(args, parser: argparse.ArgumentParser) -> ParametricLattice:
     if getattr(args, "lattice", None):
         with open(args.lattice, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if "harper" in obj:
-            h = obj["harper"]
-            return harper_family(float(h["delta"]), int(h["p"]), int(h["q"]), int(h.get("n0", 0)))
-        spec = spec_from_json(obj)
-        # general lattices: treat Im V as the unit-strength gain/loss profile
-        return ParametricLattice(
-            onsite_real=tuple(v.real for v in spec.onsite),
-            onsite_imag=tuple(v.imag for v in spec.onsite),
-            hopping=spec.hopping,
-        )
+            return family_from_json(json.load(fh))
     if args.delta is None or args.q is None:
         parser.error("provide --lattice FILE or --delta and --q")
     return harper_family(args.delta, args.p, args.q, args.n0)
@@ -111,13 +102,6 @@ def _parse_range(text: str, parser: argparse.ArgumentParser) -> range:
     except ValueError:
         parser.error(f"range must look like a:b, got {text!r}")
     return range(lo, hi + 1)
-
-
-def _sweep_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PT_SL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +139,19 @@ def _cmd_threshold(args, parser) -> int:
         qs = _parse_range(args.q_range, parser)
         if args.delta is None:
             parser.error("sweeping q needs --delta")
-        rows = sweep(
-            lambda q: harper_family(args.delta, args.p, q, args.n0),
-            list(qs),
-            lambda_max=args.lambda_max,
-            sigma_lambda=args.delta,
-            tol_lambda=args.tol,
-            max_workers=_sweep_workers(),
-        )
+        results = [
+            breaking_threshold(
+                harper_family(args.delta, args.p, q, args.n0), args.lambda_max, tol_lambda=args.tol
+            )
+            for q in qs
+        ]
         out = Path(args.out or "threshold_sweep.csv")
         with out.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write("param,lambda_c\n")
-            for row in rows:
-                fh.write(f"{row.param},{_fmt(row.lambda_c)}\n")
-        print(f"wrote {len(rows)} rows to {out}")
+            for q, result in zip(qs, results):
+                lambda_c = math.inf if result.never_broken else result.lambda_c
+                fh.write(f"{q},{_fmt(lambda_c)}\n")
+        print(f"wrote {len(results)} rows to {out}")
         _write_manifest("threshold", _params(args), [out], started)
         return 0
     family = _load_family(args, parser)
@@ -203,7 +186,7 @@ def _cmd_edges(args, parser) -> int:
     started = time.monotonic()
     spec = _load_spec(args, parser)
     records = edge_spectrum(spec)
-    reality = spectrum_reality(spec)
+    reality = spectrum_reality(spec, records=records)
     print("re_E      im_E      |s11|    class            loc_length")
     for r in records:
         length = f"{r.localization_length:.4f}" if r.localization_length else ""
@@ -229,17 +212,11 @@ def _cmd_edges(args, parser) -> int:
 def _cmd_evolve(args, parser) -> int:
     started = time.monotonic()
     spec = _load_spec(args, parser)
-    if args.tmax <= 0:
-        parser.error("--tmax must be positive")
+    if not (args.tmax > 0 and math.isfinite(args.tmax)):
+        parser.error("--tmax must be positive and finite")
     n_sites = args.sites if args.sites else default_site_count(spec, args.tmax)
     psi0 = single_site_excitation(n_sites, args.excite)
-    result = propagate(
-        spec,
-        psi0,
-        args.tmax,
-        rel_tol=args.rel_tol,
-        num_samples=args.samples,
-    )
+    result = propagate(spec, psi0, args.tmax, num_samples=args.samples)
     if args.fit_window:
         try:
             t1, t2 = (float(part) for part in args.fit_window.split(":"))
@@ -305,7 +282,6 @@ def _cmd_sweep(args, parser) -> int:
         sigma_lambda=sigma_lambda,
         tol_lambda=args.tol,
         num_k=args.kpoints,
-        max_workers=_sweep_workers(),
     )
     out = Path(args.out)
     with out.open("w", encoding="utf-8", newline="\n") as fh:
@@ -359,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=int, default=None)
     p.add_argument("--excite", type=int, default=1)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
     p.add_argument("--fit-window", metavar="T1:T2", default=None)
     p.add_argument("--out", default="intensity.csv")
     p.set_defaults(func=_cmd_evolve)

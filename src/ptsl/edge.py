@@ -180,18 +180,25 @@ class RealityReport:
     offending: tuple[complex, ...]
 
 
-def spectrum_reality(spec: SuperlatticeSpec, tol: float = 1e-9, **edge_kwargs) -> RealityReport:
+def spectrum_reality(
+    spec: SuperlatticeSpec,
+    tol: float = 1e-9,
+    records: list[EdgeStateRecord] | None = None,
+) -> RealityReport:
     """Whether the truncated lattice keeps an entirely real spectrum.
 
     True iff the infinite lattice is in the unbroken phase and every
     edge-classified candidate energy is real within ``tol``; extended
     candidates belong to the (then real) continuous spectrum and candidates
-    outside the spectrum are immaterial.
+    outside the spectrum are immaterial.  ``records`` is the census of
+    ``spec`` when the caller already has it, else it is computed here.
     """
     unbroken = diagnose_pt_phase(spec, tol=tol).unbroken
+    if records is None:
+        records = edge_spectrum(spec)
     offenders = tuple(
         r.energy
-        for r in edge_spectrum(spec, **edge_kwargs)
+        for r in records
         if r.classification is Classification.EDGE and abs(r.energy.imag) > tol
     )
     return RealityReport(real=unbroken and not offenders, offending=offenders)

@@ -26,6 +26,7 @@ __all__ = [
     "build_harper",
     "harper_family",
     "check_pt_symmetry",
+    "family_from_json",
     "spec_from_json",
     "spec_to_json",
 ]
@@ -199,6 +200,19 @@ def check_pt_symmetry(spec: SuperlatticeSpec, tol: float = 1e-12) -> PTSymmetryR
 # ---------------------------------------------------------------------------
 
 
+def _harper_params(h) -> HarperParams:
+    try:
+        return HarperParams(
+            delta=float(h["delta"]),
+            lam=float(h.get("lambda", 0.0)),
+            p=int(h["p"]),
+            q=int(h["q"]),
+            n0=int(h.get("n0", 0)),
+        )
+    except (KeyError, TypeError) as exc:
+        raise LatticeError(f"invalid harper shorthand: {exc}") from exc
+
+
 def spec_from_json(obj: dict) -> SuperlatticeSpec:
     """Parse the lattice JSON schema.
 
@@ -209,18 +223,7 @@ def spec_from_json(obj: dict) -> SuperlatticeSpec:
     if not isinstance(obj, dict):
         raise LatticeError("lattice JSON must be an object")
     if "harper" in obj:
-        h = obj["harper"]
-        try:
-            params = HarperParams(
-                delta=float(h["delta"]),
-                lam=float(h.get("lambda", 0.0)),
-                p=int(h["p"]),
-                q=int(h["q"]),
-                n0=int(h.get("n0", 0)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise LatticeError(f"invalid harper shorthand: {exc}") from exc
-        return build_harper(params)
+        return build_harper(_harper_params(obj["harper"]))
     try:
         q = int(obj["q"])
         onsite = tuple(complex(re, im) for re, im in obj["onsite"])
@@ -230,6 +233,24 @@ def spec_from_json(obj: dict) -> SuperlatticeSpec:
     if len(onsite) != q:
         raise LatticeError(f"q={q} but {len(onsite)} on-site energies given")
     return SuperlatticeSpec(onsite, hopping)
+
+
+def family_from_json(obj: dict) -> ParametricLattice:
+    """Parse the lattice JSON schema as a family over the non-Hermitian strength.
+
+    The Harper shorthand gives :func:`harper_family` (its ``"lambda"`` is
+    ignored); an explicit lattice is read as ``V(lam) = Re V + i lam Im V``,
+    i.e. its Im V is the unit-strength gain/loss profile.
+    """
+    if isinstance(obj, dict) and "harper" in obj:
+        h = _harper_params(obj["harper"])
+        return harper_family(h.delta, h.p, h.q, h.n0)
+    spec = spec_from_json(obj)
+    return ParametricLattice(
+        onsite_real=tuple(v.real for v in spec.onsite),
+        onsite_imag=tuple(v.imag for v in spec.onsite),
+        hopping=spec.hopping,
+    )
 
 
 def spec_to_json(spec: SuperlatticeSpec) -> dict:

@@ -1,12 +1,10 @@
 """Self-contained numerical kernels.
 
-Three families of routines used throughout the package:
+Two families of routines used throughout the package:
 
 * complex polynomial arithmetic and simultaneous-iteration root finding
   (Aberth-Ehrlich), for the polynomial entries of transfer matrices;
-* dense complex eigenvalues, for Bloch and truncation matrices;
-* an adaptive embedded Runge-Kutta integrator (Dormand-Prince 5(4)) with
-  exact sample-time hitting, for time propagation.
+* dense complex eigenvalues, for Bloch and truncation matrices.
 
 Everything here is a pure function of its inputs; no global state.
 """
@@ -14,7 +12,7 @@ Everything here is a pure function of its inputs; no global state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,8 +21,6 @@ __all__ = [
     "ComplexPolynomial",
     "poly_roots",
     "eig_complex",
-    "OdeResult",
-    "integrate_ode",
 ]
 
 
@@ -212,9 +208,13 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
     deriv = coeffs[1:] * np.arange(1, degree + 1)
     eps = np.finfo(float).eps
 
-    # initial estimates on a circle of the geometric-mean radius, rotated off
-    # the axes so symmetric configurations do not stall
-    radius = abs(coeffs[0] / coeffs[-1]) ** (1.0 / degree)
+    # initial estimates on a circle of radius max |c_i / c_n|^(1/(n-i)), half
+    # the Fujiwara bound on the root moduli, rotated off the axes so
+    # symmetric configurations do not stall.  The geometric-mean radius
+    # |c_0 / c_n|^(1/n) puts every estimate near 0 when c_0 is tiny, and the
+    # iteration then stops on steps below eps before the large roots are found.
+    ratios = np.abs(coeffs[:-1] / coeffs[-1])
+    radius = np.max(ratios ** (1.0 / (degree - np.arange(degree))))
     angles = 2 * np.pi * np.arange(degree) / degree + 0.3999
     z = radius * np.exp(1j * angles)
 
@@ -262,137 +262,3 @@ def eig_complex(matrix) -> np.ndarray:
     if np.iscomplexobj(m) and m.imag.any():
         return np.linalg.eigvals(m.astype(complex))
     return np.linalg.eigvals(m.real.astype(float)).astype(complex)
-
-
-# ---------------------------------------------------------------------------
-# adaptive Runge-Kutta integration
-# ---------------------------------------------------------------------------
-
-# Dormand-Prince 5(4) tableau; the fifth-order solution is propagated and the
-# embedded fourth-order difference provides the local error estimate.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-
-# the controller runs below the requested tolerance so that accumulated drift
-# over long horizons (t ~ 100, generator norms up to ~5) stays within ~10x
-# the requested rel_tol
-_TOL_MARGIN = 0.03125
-
-
-@dataclass(frozen=True)
-class OdeResult:
-    """States returned at the requested sample times."""
-
-    times: np.ndarray
-    states: np.ndarray
-    steps: int
-    rhs_evaluations: int
-
-
-def integrate_ode(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    y0,
-    t_end: float,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-    sample_times=None,
-) -> OdeResult:
-    """Integrate ``dy/dt = rhs(t, y)`` for complex vectors on ``[0, t_end]``.
-
-    Adaptive Dormand-Prince 5(4) stepping with per-step local error bounded
-    by ``rel_tol * |y| + abs_tol`` componentwise (RMS-combined).  Requested
-    ``sample_times`` are hit exactly by clamping the step; they must be
-    strictly increasing within ``[0, t_end]``.
-    """
-    if not 1e-13 <= rel_tol <= 1e-3:
-        raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol:g}")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
-    y = np.atleast_1d(np.asarray(y0, dtype=complex)).copy()
-    if sample_times is None:
-        sample_times = [t_end]
-    pending = [float(t) for t in sample_times]
-    if any(b <= a for a, b in zip(pending, pending[1:])):
-        raise ValueError("sample_times must be strictly increasing")
-    if pending and (pending[0] < 0 or pending[-1] > t_end + 1e-12):
-        raise ValueError("sample_times must lie within [0, t_end]")
-
-    out_times: list[float] = []
-    out_states: list[np.ndarray] = []
-    t = 0.0
-    while pending and pending[0] <= 0.0:
-        out_times.append(pending.pop(0))
-        out_states.append(y.copy())
-
-    rtol = rel_tol * _TOL_MARGIN
-    atol = abs_tol * _TOL_MARGIN
-    f = np.atleast_1d(np.asarray(rhs(t, y), dtype=complex))
-    if not np.all(np.isfinite(f.view(float))):
-        raise NumericsError("non-finite right-hand side at t=0")
-    n_eval = 1
-
-    scale = atol + rtol * np.abs(y)
-    d0 = np.sqrt(np.mean(np.abs(y / scale) ** 2))
-    d1 = np.sqrt(np.mean(np.abs(f / scale) ** 2))
-    h_trial = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h_trial = min(h_trial, t_end) if t_end > 0 else 0.0
-
-    stages = np.empty((7, y.size), dtype=complex)
-    n_steps = 0
-    while t < t_end and pending:
-        h = h_trial
-        hit = None
-        if t + h >= pending[0] - 1e-14:
-            h = pending[0] - t
-            hit = pending[0]
-        clamped = hit is not None
-        if h <= 16 * np.finfo(float).eps * max(1.0, abs(t)):
-            if clamped and h >= 0:
-                # sample coincides with the current point to round-off
-                out_times.append(pending.pop(0))
-                out_states.append(y.copy())
-                continue
-            raise NumericsError(f"step size underflow at t={t:.12g}")
-
-        stages[0] = f
-        for i in range(1, 7):
-            y_stage = y + h * (stages[:i].T @ _DP_A[i])
-            stages[i] = rhs(t + _DP_C[i] * h, y_stage)
-        n_eval += 6
-        y_new = y + h * (stages.T @ _DP_B)
-        err = h * (stages.T @ _DP_E)
-        if not np.all(np.isfinite(y_new.view(float))):
-            raise NumericsError(f"non-finite right-hand side near t={t:.12g}")
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = np.sqrt(np.mean(np.abs(err / scale) ** 2))
-
-        if err_norm <= 1.0:
-            t = hit if clamped else t + h
-            y = y_new
-            f = stages[6].copy()  # FSAL; copy because the buffer is reused
-            if clamped:
-                out_times.append(pending.pop(0))
-                out_states.append(y.copy())
-            n_steps += 1
-            if not clamped:
-                factor = 5.0 if err_norm == 0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
-                h_trial = h * factor
-        else:
-            h_trial = h * max(0.2, 0.9 * err_norm**-0.2)
-
-    return OdeResult(
-        times=np.array(out_times),
-        states=np.array(out_states),
-        steps=n_steps,
-        rhs_evaluations=n_eval,
-    )

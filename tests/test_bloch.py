@@ -168,6 +168,15 @@ def test_hermitian_family_never_breaks():
 def test_threshold_validates_lambda_max():
     with pytest.raises(ValueError):
         breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.0)
+    with pytest.raises(ValueError, match="lambda_max must be positive and finite"):
+        breaking_threshold(harper_family(0.3, 1, 6), lambda_max=math.inf)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
+def test_threshold_validates_tolerance(tol):
+    # a tolerance below float resolution of the bracket used to bisect forever
+    with pytest.raises(ValueError, match="tol_lambda must be positive and finite"):
+        breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.5, tol_lambda=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +210,3 @@ def test_sweep_rows_are_ordered_and_bounded_by_delta():
 def test_sweep_empty_range():
     assert sweep(lambda q: harper_family(0.3, 1, q), [], lambda_max=0.5, sigma_lambda=0.3) == []
 
-
-def test_sweep_threaded_matches_serial():
-    args = dict(lambda_max=0.5, sigma_lambda=0.3, tol_lambda=1e-3, num_k=32)
-    serial = sweep(lambda q: harper_family(0.3, 1, q), [3, 5], **args)
-    threaded = sweep(lambda q: harper_family(0.3, 1, q), [3, 5], max_workers=2, **args)
-    assert serial == threaded

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import multiset_distance, pt_specs
 from ptsl import (
@@ -92,6 +92,7 @@ def test_records_sorted_by_real_part():
 
 
 @given(pt_specs(min_q=2, max_q=10))
+@example(SuperlatticeSpec((2.5e-223, 0.0, 2.5e-223, 0.0), (-1.0, -1.0, -1.0, -1.0)))
 @settings(max_examples=50)
 def test_candidate_count_and_route_equivalence(spec):
     # edge_spectrum cross-checks eig(candidate matrix) against the roots of

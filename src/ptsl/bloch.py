@@ -8,6 +8,11 @@ period.  Its q eigenvalues trace out the energy bands E_n(k).
 The phase criterion: the spectrum is entirely real (unbroken PT phase) if and
 only if the eigenvalues of the two matrices at k = 0 and k = -pi/q are real.
 An optional guard grid scans interior k as a numerical cross-check.
+
+Spectra are solved as stacks, one LAPACK call per chunk of k-points.  Since
+H(-k) = H(k)^T, the spectrum depends on k only through cos(kq): on the
+uniform grid ``_k_grid`` row j mirrors row N - j, so bands and growth rates
+solve only rows 0..N//2.
 """
 
 from __future__ import annotations
@@ -37,33 +42,64 @@ __all__ = [
 ]
 
 
-def _wrap_k(k: float, q: int) -> float:
+# the most matrix bytes solved in one LAPACK call; bounds the memory of a
+# spectrum computation independently of the number of k-points
+_CHUNK_BYTES = 128 * 1024
+
+
+def _wrap_k(k, q: int):
     """Reduce k to [-pi/q, pi/q); the matrix depends on k only via exp(ikq)."""
     half_width = math.pi / q
     return (k + half_width) % (2.0 * half_width) - half_width
 
 
-def bloch_matrix(spec: SuperlatticeSpec, k: float) -> np.ndarray:
+def bloch_matrix(spec: SuperlatticeSpec, k) -> np.ndarray:
     """q x q Bloch-reduced matrix at wave number k (wrapped into range).
 
-    The corner phases add onto existing entries, which yields the correct
+    For an array of n wave numbers, returns the ``(n, q, q)`` stack.  The
+    corner phases add onto existing entries, which yields the correct
     degenerate forms for q = 1 (scalar ``V_1 - 2 kappa_1 cos k``) and q = 2
     (corner merging into the off-diagonal).
     """
     q = spec.q
-    k = _wrap_k(k, q)
-    m = np.zeros((q, q), dtype=complex)
-    m[np.arange(q), np.arange(q)] = spec.onsite
-    for n in range(q - 1):
-        m[n, n + 1] += -spec.hopping[n]
-        m[n + 1, n] += -spec.hopping[n]
-    m[0, q - 1] += -spec.hopping[q - 1] * np.exp(-1j * k * q)
-    m[q - 1, 0] += -spec.hopping[q - 1] * np.exp(+1j * k * q)
+    k = _wrap_k(np.asarray(k, dtype=float), q)
+    m = np.zeros(k.shape + (q, q), dtype=complex)
+    sites = np.arange(q)
+    m[..., sites, sites] = spec.onsite
+    hop = np.asarray(spec.hopping)
+    m[..., sites[:-1], sites[1:]] += -hop[:-1]
+    m[..., sites[1:], sites[:-1]] += -hop[:-1]
+    m[..., 0, q - 1] += -hop[q - 1] * np.exp(-1j * k * q)
+    m[..., q - 1, 0] += -hop[q - 1] * np.exp(+1j * k * q)
     return m
 
 
 def _k_grid(q: int, num_k: int) -> np.ndarray:
     return np.linspace(-math.pi / q, math.pi / q, num_k, endpoint=False)
+
+
+def _spectra(specs: Sequence[SuperlatticeSpec], ks: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every spec at every k, shape ``(len(specs), len(ks), q)``.
+
+    All specs share one period.  LAPACK solves at most ``_CHUNK_BYTES`` of
+    matrices per call: whole k-rows of several specs when they fit, else
+    slices of one spec's k-row.
+    """
+    q = specs[0].q
+    out = np.empty((len(specs), len(ks), q), dtype=complex)
+    per_chunk = max(1, _CHUNK_BYTES // (16 * q * q))
+    per_spec = max(1, per_chunk // len(ks))
+    k_step = min(len(ks), per_chunk)
+    for lo in range(0, len(specs), per_spec):
+        for klo in range(0, len(ks), k_step):
+            stack = np.stack([bloch_matrix(spec, ks[klo : klo + k_step]) for spec in specs[lo : lo + per_spec]])
+            out[lo : lo + per_spec, klo : klo + k_step] = eig_complex(stack)
+    return out
+
+
+def _solved_rows(num_k: int) -> int:
+    """Rows 0..N//2 of ``_k_grid``; every other row j mirrors row N - j."""
+    return num_k // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -87,11 +123,13 @@ def band_structure(spec: SuperlatticeSpec, num_k: int) -> BandStructure:
     if num_k < 2:
         raise ValueError("need at least 2 k-points")
     ks = _k_grid(spec.q, num_k)
+    solved = _solved_rows(num_k)
     energies = np.empty((num_k, spec.q), dtype=complex)
-    for i, k in enumerate(ks):
-        ev = eig_complex(bloch_matrix(spec, k))
-        order = np.lexsort((ev.imag, ev.real))
-        energies[i] = ev[order]
+    half = energies[:solved]
+    half[:] = _spectra([spec], ks[:solved])[0]
+    order = np.lexsort((half.imag, half.real))
+    half[:] = half[np.arange(solved)[:, None], order]
+    energies[solved:] = energies[num_k - solved : 0 : -1]
     return BandStructure(k_values=ks, energies=energies)
 
 
@@ -110,6 +148,10 @@ def band_gaps(bands: BandStructure, min_width: float = 1e-9) -> list[tuple[float
         if lo[n + 1] - hi[n] > min_width:
             gaps.append((float(hi[n]), float(lo[n + 1])))
     return gaps
+
+
+def _decisive_k(q: int) -> np.ndarray:
+    return np.array([0.0, -math.pi / q])
 
 
 @dataclass(frozen=True)
@@ -133,17 +175,13 @@ def diagnose_pt_phase(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    ks = [0.0, -math.pi / spec.q]
+    ks = _decisive_k(spec.q)
     if guard_points > 0:
-        ks.extend(_k_grid(spec.q, guard_points))
-    worst = 0.0
-    witness = ks[0]
-    for k in ks:
-        imag_max = float(np.max(np.abs(eig_complex(bloch_matrix(spec, k)).imag)))
-        if imag_max > worst:
-            worst = imag_max
-            witness = k
-    return PhaseDiagnosis(unbroken=worst <= tol, max_abs_imag=worst, witness_k=witness, tol=tol)
+        ks = np.concatenate([ks, _k_grid(spec.q, guard_points)])
+    imag_max = np.max(np.abs(_spectra([spec], ks)[0].imag), axis=-1)
+    at = int(np.argmax(imag_max))
+    worst = float(imag_max[at])
+    return PhaseDiagnosis(unbroken=worst <= tol, max_abs_imag=worst, witness_k=float(ks[at]), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -174,6 +212,8 @@ def breaking_threshold(
         raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
     if not (tol_lambda > 0 and math.isfinite(tol_lambda)):
         raise ValueError(f"tol_lambda must be positive and finite, got {tol_lambda}")
+    if coarse_samples < 2:
+        raise ValueError(f"coarse_samples must be at least 2, got {coarse_samples}")
 
     def unbroken(lam: float) -> bool:
         return diagnose_pt_phase(family.at(lam), tol=reality_tol).unbroken
@@ -182,7 +222,8 @@ def breaking_threshold(
         raise ValueError("family is already broken at lambda = 0")
 
     lams = np.linspace(0.0, lambda_max, coarse_samples)
-    states = [True] + [unbroken(l) for l in lams[1:]]
+    scan = _spectra([family.at(lam) for lam in lams[1:]], _decisive_k(family.q))
+    states = [True] + list(np.max(np.abs(scan.imag), axis=(1, 2)) <= reality_tol)
     flips = [i for i in range(len(lams) - 1) if states[i] and not states[i + 1]]
     if not flips:
         return ThresholdResult(
@@ -212,9 +253,8 @@ def max_growth_rate(spec: SuperlatticeSpec, num_k: int = 256, tol: float = 1e-9)
     """Largest Im E over the sampled bands; clipped to 0 in the unbroken phase."""
     if num_k < 2:
         raise ValueError("need at least 2 k-points")
-    sigma = max(
-        float(np.max(eig_complex(bloch_matrix(spec, k)).imag)) for k in _k_grid(spec.q, num_k)
-    )
+    ks = _k_grid(spec.q, num_k)[: _solved_rows(num_k)]
+    sigma = float(np.max(_spectra([spec], ks).imag))
     return 0.0 if sigma <= tol else sigma
 
 

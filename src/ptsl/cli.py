@@ -16,11 +16,14 @@ invalid lattice.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bloch import band_gaps, band_structure, breaking_threshold, sweep
@@ -48,6 +51,29 @@ __all__ = ["main"]
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _write_rows(fh, leads, blocks, first_index: int = 0) -> None:
+    """Write the lines ``lead,index,value,...`` of each row block.
+
+    ``blocks`` has shape ``(rows, n)`` or ``(rows, n, fields)``: block i
+    gives n lines that start with ``_fmt(leads[i])``, then the line index
+    counted from ``first_index``, then the fields of that line.  One line
+    template, built once, formats a whole block; ``%.17g`` and ``_fmt``
+    write the same text.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+    rows, n = blocks.shape[:2]
+    blocks = blocks.reshape(rows, n, -1)
+    fields = blocks.shape[2]
+    line = ",%.17g" * fields + "\n"
+    template = "".join(f"%s,{index}{line}" for index in range(first_index, first_index + n))
+    args: list = [None] * (n * (fields + 1))
+    for lead, block in zip(leads, blocks):
+        args[:: fields + 1] = [_fmt(lead)] * n
+        for f in range(fields):
+            args[f + 1 :: fields + 1] = block[:, f].tolist()
+        fh.write(template % tuple(args))
 
 
 def _write_manifest(command: str, params: dict, outputs: list[Path], started: float) -> None:
@@ -101,6 +127,8 @@ def _parse_range(text: str, parser: argparse.ArgumentParser) -> range:
         lo, hi = (int(part) for part in text.split(":"))
     except ValueError:
         parser.error(f"range must look like a:b, got {text!r}")
+    if lo > hi:
+        parser.error(f"range {text!r} is empty: its start exceeds its end")
     return range(lo, hi + 1)
 
 
@@ -118,9 +146,8 @@ def _cmd_bands(args, parser) -> int:
     out = Path(args.out)
     with out.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("k,band_index,re_E,im_E\n")
-        for k, row in zip(bands.k_values, bands.energies):
-            for idx, energy in enumerate(row):
-                fh.write(f"{_fmt(k)},{idx},{_fmt(energy.real)},{_fmt(energy.imag)}\n")
+        energies = bands.energies
+        _write_rows(fh, bands.k_values, np.stack([energies.real, energies.imag], axis=-1))
     gaps = band_gaps(bands)
     widths = [hi - lo for lo, hi in gaps]
     print(f"bands: {bands.q}  k-points: {args.kpoints}  max |Im E|: {bands.max_abs_imag:.3e}")
@@ -237,9 +264,7 @@ def _cmd_evolve(args, parser) -> int:
     out = Path(args.out)
     with out.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,site,intensity\n")
-        for t, row in zip(result.sample_times, result.intensities):
-            for site, intensity in enumerate(row, start=1):
-                fh.write(f"{_fmt(t)},{site},{_fmt(intensity)}\n")
+        _write_rows(fh, result.sample_times, result.intensities, first_index=1)
     summary_path = out.with_suffix(".summary.json")
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(
@@ -302,7 +327,9 @@ def _params(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ptsl",
         description="PT-symmetric superlattice analysis: bands, thresholds, edge states, propagation",

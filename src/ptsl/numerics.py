@@ -246,19 +246,22 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
 
 
 def eig_complex(matrix) -> np.ndarray:
-    """Eigenvalues of a dense square matrix (complex allowed).
+    """Eigenvalues of a dense square matrix, or of each matrix of a stack.
 
-    Backed by LAPACK's Hessenberg + shifted-QR path.  Exactly real input is
-    dispatched to the real driver so its spectrum comes back closed under
-    complex conjugation.
+    Accepts shape ``(..., n, n)`` and returns ``(..., n)``.  Backed by
+    LAPACK's Hessenberg + shifted-QR path.  Each exactly real matrix, alone
+    or in a stack, is dispatched to the real driver so its spectrum comes
+    back closed under complex conjugation.
     """
     m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
-        return np.array([], dtype=complex)
+        return np.empty(m.shape[:-1], dtype=complex)
     if not np.all(np.isfinite(m.real)) or (np.iscomplexobj(m) and not np.all(np.isfinite(m.imag))):
         raise ValueError("matrix entries must be finite")
-    if np.iscomplexobj(m) and m.imag.any():
-        return np.linalg.eigvals(m.astype(complex))
-    return np.linalg.eigvals(m.real.astype(float)).astype(complex)
+    real = ~m.imag.any(axis=(-2, -1))
+    values = np.empty(m.shape[:-1], dtype=complex)
+    values[real] = np.linalg.eigvals(m.real[real].astype(float))
+    values[~real] = np.linalg.eigvals(m[~real].astype(complex))
+    return values

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ def test_k_wrapping_changes_nothing():
     assert np.allclose(bloch_matrix(spec, k), bloch_matrix(spec, k + 2 * math.pi / 6))
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 6])
+def test_bloch_matrix_stack_equals_single_matrices(q):
+    spec = build_harper(HarperParams(0.3, 0.2, 1, q, 0))
+    ks = np.array([-3.0, -math.pi / q, 0.0, 0.37, math.pi / q, 5.0])
+    stack = bloch_matrix(spec, ks)
+    assert stack.shape == (len(ks), q, q)
+    for k, m in zip(ks, stack):
+        assert np.array_equal(m, bloch_matrix(spec, k))
+
+
 def test_bloch_eigenvalues_satisfy_transfer_dispersion():
     # cross route: each eigenvalue E of the zone matrix at k obeys
     # tr S(E) = 2 cos(kq); at k = -pi/6 with q = 6 that is -2
@@ -79,6 +90,24 @@ def test_band_structure_shape_and_sorting():
     assert bands.k_values[0] == -math.pi / 6
     for row in bands.energies:
         assert all(row[i].real <= row[i + 1].real + 1e-12 for i in range(5))
+
+
+@pytest.mark.parametrize("num_k", [2, 7, 8])
+@pytest.mark.parametrize("q", range(1, 10))
+def test_band_rows_mirror_and_match_single_solves(q, num_k):
+    # rows j and N - j sit at k and -k; only rows 0..N//2 are solved
+    spec = build_harper(HarperParams(0.3, 0.2, 1, q, 0))
+    bands = band_structure(spec, num_k)
+    for j in range(1, num_k):
+        assert abs(bands.k_values[j] + bands.k_values[num_k - j]) < 1e-14
+        assert bands.energies[j].tobytes() == bands.energies[num_k - j].tobytes()
+    scale = np.max(np.abs(bands.energies))
+    for k, row in zip(bands.k_values, bands.energies):
+        single = eig_complex(bloch_matrix(spec, k))
+        assert multiset_distance(row, single) <= 1e-12 * scale
+        assert all(
+            (row[i].real, row[i].imag) <= (row[i + 1].real, row[i + 1].imag) for i in range(q - 1)
+        )
 
 
 def test_band_structure_needs_two_points():
@@ -147,6 +176,41 @@ def test_broken_above_threshold():
     assert not (diagnosis.max_abs_imag <= diagnosis.tol)
 
 
+def test_guard_grid_diagnosis_matches_per_k_scan():
+    spec = build_harper(HarperParams(0.3, 0.2, 1, 6, 0))
+    diagnosis = diagnose_pt_phase(spec, guard_points=33)
+    ks = [0.0, -math.pi / 6, *np.linspace(-math.pi / 6, math.pi / 6, 33, endpoint=False)]
+    imag = [float(np.max(np.abs(eig_complex(bloch_matrix(spec, k)).imag))) for k in ks]
+    assert diagnosis.max_abs_imag == max(imag)
+    assert diagnosis.witness_k == ks[imag.index(max(imag))]
+
+
+def _threshold_by_single_diagnoses(family, lambda_max, tol_lambda):
+    lams = np.linspace(0.0, lambda_max, 64)
+    states = [diagnose_pt_phase(family.at(lam)).unbroken for lam in lams]
+    flips = [i for i in range(63) if states[i] and not states[i + 1]]
+    if not flips:
+        return lambda_max, (lambda_max, lambda_max), 0
+    lo, hi = float(lams[flips[0]]), float(lams[flips[0] + 1])
+    while hi - lo > tol_lambda:
+        mid = 0.5 * (lo + hi)
+        if diagnose_pt_phase(family.at(mid)).unbroken:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), (lo, hi), len(flips)
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (1, 4), (1, 6), (2, 7), (1, 9), (3, 16), (1, 19)])
+def test_threshold_coarse_stack_matches_single_diagnoses(p, q):
+    family = harper_family(0.3, p, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = breaking_threshold(family, lambda_max=0.5)
+    expected = _threshold_by_single_diagnoses(family, 0.5, 1e-4)
+    assert (result.lambda_c, result.bracket, result.transitions) == expected
+
+
 def test_threshold_against_bisection_bracket():
     result = breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.5, tol_lambda=1e-4)
     assert not result.never_broken
@@ -179,6 +243,20 @@ def test_threshold_validates_tolerance(tol):
         breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.5, tol_lambda=tol)
 
 
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_threshold_validates_coarse_samples(samples):
+    # a scan of fewer than two strengths cannot bracket a transition
+    with pytest.raises(ValueError, match="coarse_samples must be at least 2"):
+        breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.5, coarse_samples=samples)
+
+
+def test_threshold_two_coarse_samples():
+    result = breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.5, coarse_samples=2)
+    assert result.lambda_c == pytest.approx(
+        breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.5).lambda_c, abs=2e-4
+    )
+
+
 # ---------------------------------------------------------------------------
 # growth rate and sweep
 # ---------------------------------------------------------------------------
@@ -186,6 +264,16 @@ def test_threshold_validates_tolerance(tol):
 
 def test_growth_rate_zero_when_unbroken():
     assert max_growth_rate(UNBROKEN, num_k=64) == 0.0
+
+
+@pytest.mark.parametrize("num_k", [2, 9, 64])
+@pytest.mark.parametrize("q", [1, 2, 5, 6, 19])
+def test_growth_rate_equals_full_grid_maximum(q, num_k):
+    spec = build_harper(HarperParams(0.3, 0.3, 1, q, 0))
+    ks = np.linspace(-math.pi / q, math.pi / q, num_k, endpoint=False)
+    full = max(float(np.max(eig_complex(bloch_matrix(spec, k)).imag)) for k in ks)
+    full = 0.0 if full <= 1e-9 else full
+    assert abs(max_growth_rate(spec, num_k=num_k) - full) <= 1e-12 * abs(full)
 
 
 def test_growth_rate_positive_when_broken():

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -73,6 +74,33 @@ def test_bands_outputs_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_parser_is_built_once_and_keeps_defaults(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("bands", *HARPER_FLAGS, "--kpoints", "8", "--out", str(first)) == 0
+    assert run("bands", *HARPER_FLAGS, "--out", str(second)) == 0
+    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+    assert manifest["parameters"]["kpoints"] == 256
+    assert manifest["parameters"]["out"] == str(second)
+    assert len(read_csv(second)[1]) == 256 * 6
+
+
+@pytest.mark.parametrize("fields", [1, 2])
+def test_row_writer_matches_per_value_format(fields):
+    rng = np.random.default_rng(3)
+    blocks = rng.normal(size=(7, 5, fields)) * 10.0 ** rng.integers(-300, 300, size=(7, 5, fields))
+    blocks.flat[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+    leads = np.concatenate([[-0.0, 1e-17], rng.normal(size=5)])
+    expected = "".join(
+        f"{lead:.17g},{index}" + "".join(f",{x:.17g}" for x in line) + "\n"
+        for lead, block in zip(leads, blocks)
+        for index, line in enumerate(block, start=1)
+    )
+    sink = io.StringIO()
+    cli._write_rows(sink, leads, blocks if fields > 1 else blocks[..., 0], first_index=1)
+    assert sink.getvalue() == expected
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericsError("synthetic failure")
@@ -123,6 +151,15 @@ def test_threshold_rejects_bad_tol(tol, capsys):
     assert run("threshold", "--delta", "0.3", "--q", "6", "--tol", tol) == 2
     assert "tol_lambda must be positive and finite" in capsys.readouterr().err
     assert run("threshold", "--delta", "0.3", "--q-range", "4:5", "--tol", tol) == 2
+
+
+def test_threshold_empty_range(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as info:
+        run("threshold", "--delta", "0.3", "--q-range", "5:3", "--out", str(out))
+    assert info.value.code == 2
+    assert "range '5:3' is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threshold_q_sweep_writes_never_broken_rows(tmp_path):
@@ -266,13 +303,18 @@ def test_sweep_p_range_with_threads(tmp_path):
     assert [r[0] for r in rows] == ["1", "2"]
 
 
-def test_sweep_empty_range(tmp_path):
+def test_sweep_empty_range(tmp_path, capsys):
+    # used to write a CSV with only its header and exit 0
     out = tmp_path / "sweep.csv"
-    code = run("sweep", "--delta", "0.3", "--q-range", "5:4", "--out", str(out))
-    assert code == 0
-    header, rows = read_csv(out)
-    assert header == ["param", "lambda_c", "sigma"]
-    assert rows == []
+    with pytest.raises(SystemExit) as info:
+        run("sweep", "--delta", "0.3", "--q-range", "5:4", "--out", str(out))
+    assert info.value.code == 2
+    assert "range '5:4' is empty" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as info:
+        run("sweep", "--delta", "0.3", "--p-range", "3:1", "--q", "5", "--out", str(out))
+    assert info.value.code == 2
+    assert not out.exists()
 
 
 def test_sweep_usage_errors(tmp_path):

@@ -126,6 +126,22 @@ def test_eig_rejects_nonfinite():
         eig_complex(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def test_eig_stack_mixing_real_and_complex_matches_single_calls():
+    rng = np.random.default_rng(7)
+    real = rng.normal(size=(3, 5, 5)).astype(complex)
+    cplx = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+    stack = np.stack([real[0], cplx[0], cplx[1], real[1], real[2], cplx[2]])
+    values = eig_complex(stack)
+    assert values.shape == (6, 5)
+    for m, row in zip(stack, values):
+        assert row.tobytes() == eig_complex(m).tobytes()
+    # the real members keep their conjugate-closed spectra
+    for i in (0, 3, 4):
+        assert sorted_c(values[i]) == sorted_c(np.conj(values[i]))
+    assert eig_complex(stack.reshape(2, 3, 5, 5)).shape == (2, 3, 5)
+    assert eig_complex(np.zeros((4, 0, 0))).shape == (4, 0)
+
+
 def test_eig_real_matrix_spectrum_conjugate_closed():
     rng = np.random.default_rng(5)
     for _ in range(20):

@@ -55,15 +55,12 @@ from .lattice import (
     spec_to_json,
 )
 from .numerics import (
-    ComplexPolynomial,
     NumericsError,
     eig_complex,
     poly_roots,
 )
 from .transfer import (
-    SymbolicTransfer,
     TransferMatrix,
-    in_continuous_spectrum,
     period_matrix,
     site_matrix,
     symbolic_period_matrix,
@@ -74,7 +71,6 @@ __all__ = [
     "__version__",
     "BandStructure",
     "Classification",
-    "ComplexPolynomial",
     "EdgeStateRecord",
     "HarperParams",
     "LatticeError",
@@ -87,7 +83,6 @@ __all__ = [
     "RouteMismatchError",
     "SuperlatticeSpec",
     "SweepRow",
-    "SymbolicTransfer",
     "ThresholdResult",
     "TransferMatrix",
     "band_gaps",
@@ -105,7 +100,6 @@ __all__ = [
     "family_from_json",
     "growth_rate_estimate",
     "harper_family",
-    "in_continuous_spectrum",
     "localization_length",
     "max_growth_rate",
     "period_matrix",

@@ -204,7 +204,8 @@ def breaking_threshold(
     """First real-to-complex transition of the family on [0, lambda_max].
 
     A coarse scan brackets the first unbroken -> broken flip, bisection
-    narrows the bracket to ``tol_lambda``.  Multiple flips in the scan are
+    narrows the bracket to ``tol_lambda``, or to two adjacent floats when
+    ``tol_lambda`` is below their spacing.  Multiple flips in the scan are
     reported as a warning and the first is refined.  If the family never
     breaks, ``lambda_c`` is pinned at ``lambda_max`` with the flag set.
     """
@@ -237,6 +238,8 @@ def breaking_threshold(
     lo, hi = float(lams[flips[0]]), float(lams[flips[0] + 1])
     while hi - lo > tol_lambda:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats; no tolerance below that is reachable
         if unbroken(mid):
             lo = mid
         else:

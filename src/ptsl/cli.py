@@ -241,7 +241,7 @@ def _cmd_evolve(args, parser) -> int:
     spec = _load_spec(args, parser)
     if not (args.tmax > 0 and math.isfinite(args.tmax)):
         parser.error("--tmax must be positive and finite")
-    n_sites = args.sites if args.sites else default_site_count(spec, args.tmax)
+    n_sites = default_site_count(spec, args.tmax) if args.sites is None else args.sites
     psi0 = single_site_excitation(n_sites, args.excite)
     result = propagate(spec, psi0, args.tmax, num_samples=args.samples)
     if args.fit_window:

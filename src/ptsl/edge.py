@@ -104,7 +104,6 @@ def _match_multisets(a: np.ndarray, b: np.ndarray, tol: float) -> float:
 
 def edge_spectrum(
     spec: SuperlatticeSpec,
-    classification_band: float = _CLASSIFICATION_BAND,
     route_check: bool = True,
     route_tol: float = 1e-6,
 ) -> list[EdgeStateRecord]:
@@ -119,16 +118,16 @@ def edge_spectrum(
         return []
     candidates = eig_complex(edge_candidate_matrix(spec))
     if route_check:
-        s21 = symbolic_period_matrix(spec).s21
+        s21 = symbolic_period_matrix(spec)[2]
         _match_multisets(candidates, poly_roots(s21), route_tol)
 
     records = []
     for energy in candidates:
         s11_abs = abs(period_matrix(spec, energy).s11)
-        if s11_abs < 1.0 - classification_band:
+        if s11_abs < 1.0 - _CLASSIFICATION_BAND:
             cls = Classification.EDGE
             length = -q / math.log(s11_abs**2)
-        elif s11_abs <= 1.0 + classification_band:
+        elif s11_abs <= 1.0 + _CLASSIFICATION_BAND:
             cls = Classification.EXTENDED
             length = None
         else:

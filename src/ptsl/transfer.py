@@ -12,7 +12,8 @@ infinite lattice exactly when theta is real, i.e. ``tr S`` real with
 ``|tr S| <= 2``.
 
 All four entries of S are polynomials in E (degrees q, q-1, q-1, q-2), which
-:func:`symbolic_period_matrix` builds exactly by polynomial products.
+:func:`symbolic_period_matrix` builds exactly by polynomial products, as
+arrays of ascending coefficients.
 """
 
 from __future__ import annotations
@@ -21,17 +22,16 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .lattice import SuperlatticeSpec
-from .numerics import ComplexPolynomial, NumericsError
+from .numerics import NumericsError
 
 __all__ = [
     "TransferMatrix",
-    "SymbolicTransfer",
     "site_matrix",
     "period_matrix",
     "transfer_power",
-    "in_continuous_spectrum",
     "symbolic_period_matrix",
 ]
 
@@ -149,72 +149,45 @@ def transfer_power(matrix: TransferMatrix, power: int) -> np.ndarray:
     return _chebyshev_power(array, power, theta)
 
 
-def in_continuous_spectrum(spec: SuperlatticeSpec, energy: complex, tol: float = 1e-9) -> bool:
-    """Whether E lies in the band spectrum of the infinitely extended lattice.
-
-    Equivalent to the angle theta being real: tr S(E) real (within ``tol``)
-    with |tr S| <= 2 + tol.
-    """
-    trace = period_matrix(spec, energy).trace
-    return abs(trace.imag) <= tol and abs(trace.real) <= 2.0 + tol
+def _trim_relative(coeffs: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+    """Drop leading (highest-degree) coefficients below ``rel_tol * max|c|``."""
+    keep = np.nonzero(np.abs(coeffs) > rel_tol * np.max(np.abs(coeffs)))[0]
+    return coeffs[: keep[-1] + 1] if len(keep) else coeffs[:1]
 
 
-@dataclass(frozen=True)
-class SymbolicTransfer:
-    """Entries of S(E) as explicit polynomials in the energy."""
-
-    s11: ComplexPolynomial
-    s12: ComplexPolynomial
-    s21: ComplexPolynomial
-    s22: ComplexPolynomial
-
-    def degrees(self) -> tuple[int, int, int, int]:
-        return (self.s11.degree, self.s12.degree, self.s21.degree, self.s22.degree)
-
-    def evaluate(self, energy: complex) -> np.ndarray:
-        return np.array(
-            [[self.s11(energy), self.s12(energy)], [self.s21(energy), self.s22(energy)]],
-            dtype=complex,
-        )
-
-
-def symbolic_period_matrix(spec: SuperlatticeSpec) -> SymbolicTransfer:
+def symbolic_period_matrix(
+    spec: SuperlatticeSpec,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact polynomial product of the q site factors.
 
-    The result is trimmed of float noise (threshold 1e-10 relative to the
-    largest coefficient per entry) and checked against the structural degree
-    pattern (q, q-1, q-1, q-2) and the unimodularity identity
+    Returns the entries ``(s11, s12, s21, s22)`` of S(E) as ascending
+    coefficient arrays.  Each is trimmed of float noise (threshold 1e-10
+    relative to its largest coefficient) and checked against the structural
+    degree pattern (q, q-1, q-1, q-2) and the unimodularity identity
     ``s11*s22 - s12*s21 = 1`` coefficient-wise.
     """
-    one = ComplexPolynomial((1.0,))
-    zero = ComplexPolynomial((0j,))
-    product = [[one, zero], [zero, one]]
+    one = np.array([1.0 + 0j])
+    zero = np.array([0j])
+    top, bottom = [one, zero], [zero, one]
     for n in range(1, spec.q + 1):
+        # M_n = [[a(E), b], [1, 0]]: the new top row is a*top + b*bottom and
+        # the new bottom row is the old top row
         v_n = spec.onsite_at(n)
         k_n = spec.hopping_at(n)
-        k_prev = spec.hopping_at(n - 1)
-        factor = [
-            [ComplexPolynomial((v_n / k_n, -1.0 / k_n)), ComplexPolynomial((-k_prev / k_n,))],
-            [one, zero],
-        ]
-        product = [
-            [
-                factor[i][0] * product[0][j] + factor[i][1] * product[1][j]
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-
-    entries = [p.trimmed(1e-10) for row in product for p in row]
-    sym = SymbolicTransfer(*entries)
+        a = np.array([v_n / k_n, -1.0 / k_n], dtype=complex)
+        b = np.array([-spec.hopping_at(n - 1) / k_n], dtype=complex)
+        top, bottom = [P.polyadd(P.polymul(a, t), P.polymul(b, u)) for t, u in zip(top, bottom)], top
+    entries = tuple(_trim_relative(p) for p in (*top, *bottom))
+    s11, s12, s21, s22 = entries
 
     q = spec.q
+    degrees = tuple(len(c) - 1 for c in entries)
     expected = (q, q - 1, q - 1, q - 2)
-    for got, want in zip(sym.degrees(), expected):
+    for got, want in zip(degrees, expected):
         if want >= 0 and got != want:
-            raise NumericsError(f"transfer polynomial degrees {sym.degrees()} != {expected}")
-    det = sym.s11 * sym.s22 + ComplexPolynomial((-1.0,)) * (sym.s12 * sym.s21)
-    residual = det + ComplexPolynomial((-1.0,))
-    if max(abs(c) for c in residual.coefficients) > 1e-9:
+            raise NumericsError(f"transfer polynomial degrees {degrees} != {expected}")
+    residual = P.polysub(P.polymul(s11, s22), P.polymul(s12, s21))
+    residual[0] -= 1.0
+    if np.max(np.abs(residual)) > 1e-9:
         raise NumericsError("polynomial unimodularity identity violated")
-    return sym
+    return entries

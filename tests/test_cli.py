@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +157,23 @@ def test_threshold_rejects_bad_tol(tol, capsys):
     assert run("threshold", "--delta", "0.3", "--q-range", "4:5", "--tol", tol) == 2
 
 
+@pytest.mark.parametrize("command", ["threshold", "sweep"])
+def test_tolerance_below_float_spacing_terminates(command, tmp_path):
+    # bisection used to loop forever once lo and hi were adjacent floats
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [
+        sys.executable, "-m", "ptsl.cli", command, "--delta", "0.3", "--q-range", "6:6",
+        "--lambda-max", "0.5", "--tol", "1e-300", "--out", str(tmp_path / "out.csv"),
+    ]
+    if command == "sweep":
+        argv += ["--kpoints", "8"]
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    _, rows = read_csv(tmp_path / "out.csv")
+    assert abs(float(rows[0][1]) - 0.2552) < 2e-3
+
+
 def test_threshold_empty_range(tmp_path, capsys):
     out = tmp_path / "t.csv"
     with pytest.raises(SystemExit) as info:
@@ -251,6 +272,14 @@ def test_evolve_rejects_bad_tmax(tmp_path, capsys):
             run("evolve", *HARPER_FLAGS, "--tmax", tmax, "--out", str(tmp_path / "x.csv"))
         assert info.value.code == 2
         assert "--tmax must be positive and finite" in capsys.readouterr().err
+
+
+def test_evolve_rejects_zero_sites(tmp_path, capsys):
+    # 0 used to be taken as "not given" and replaced by the default chain length
+    out = tmp_path / "x.csv"
+    assert run("evolve", *HARPER_FLAGS, "--tmax", "5", "--sites", "0", "--out", str(out)) == 2
+    assert "outside 1..0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_overflow_is_a_numerical_failure(tmp_path, capsys):

@@ -52,7 +52,6 @@ from .lattice import (
     family_from_json,
     harper_family,
     spec_from_json,
-    spec_to_json,
 )
 from .numerics import (
     NumericsError,
@@ -109,7 +108,6 @@ __all__ = [
     "single_site_excitation",
     "site_matrix",
     "spec_from_json",
-    "spec_to_json",
     "spectrum_reality",
     "sweep",
     "symbolic_period_matrix",

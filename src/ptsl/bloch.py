@@ -9,6 +9,18 @@ The phase criterion: the spectrum is entirely real (unbroken PT phase) if and
 only if the eigenvalues of the two matrices at k = 0 and k = -pi/q are real.
 An optional guard grid scans interior k as a numerical cross-check.
 
+The real route: a lattice with a parity centre c (``check_pt_symmetry``) is
+PT symmetric at every k.  In the uniform gauge, where every bond carries
+the phase exp(+-ik), the reflection P about c gives ``P conj(H) P = H``, so H
+is unitarily similar to the real matrix ``R = Re H + (Im H) P`` (Bender,
+Berry & Mandilara, J. Phys. A 35, L467 (2002)).  R goes to LAPACK's real
+driver, which returns each real eigenvalue with Im exactly 0 and complex
+ones as conjugate pairs; a Hermitian lattice makes R symmetric and goes to
+``eigvalsh``.  The phase decision is therefore exact: unbroken means every
+Im E is 0, with no tolerance.  A lattice without a centre (possible for
+JSON input) falls back to the complex ``bloch_matrix`` and calls a spectrum
+real when max |Im E| <= ``tol``.
+
 Spectra are solved as stacks, one LAPACK call per chunk of k-points.  Since
 H(-k) = H(k)^T, the spectrum depends on k only through cos(kq): on the
 uniform grid ``_k_grid`` row j mirrors row N - j, so bands and growth rates
@@ -24,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import ParametricLattice, SuperlatticeSpec
+from .lattice import ParametricLattice, SuperlatticeSpec, _doubled_centres
 from .numerics import eig_complex
 
 __all__ = [
@@ -78,23 +90,78 @@ def _k_grid(q: int, num_k: int) -> np.ndarray:
     return np.linspace(-math.pi / q, math.pi / q, num_k, endpoint=False)
 
 
-def _spectra(specs: Sequence[SuperlatticeSpec], ks: np.ndarray) -> np.ndarray:
-    """Eigenvalues of every spec at every k, shape ``(len(specs), len(ks), q)``.
+def _real_bloch(onsite: np.ndarray, hopping, ks: np.ndarray, doubled_centre: int) -> np.ndarray:
+    """The real matrix R = Re H + (Im H) P of each on-site row at each k.
 
-    All specs share one period.  LAPACK solves at most ``_CHUNK_BYTES`` of
-    matrices per call: whole k-rows of several specs when they fit, else
-    slices of one spec's k-row.
+    H is the Bloch matrix in the uniform gauge, where bond n -> n+1 carries
+    ``-kappa_n exp(ik)`` and n+1 -> n carries ``-kappa_n exp(-ik)``; P is the
+    reflection ``j -> (d - 2 - j) mod q`` about the parity centre d/2, so
+    ``P conj(H) P = H`` and R = U^H H U with ``U = ((1+i) I + (1-i) P)/2``.
+    Entry (a, b) of (Im H) P is ``Im H[a, P b]``.  Returns shape
+    ``(len(onsite), len(ks), q, q)``.
     """
-    q = specs[0].q
-    out = np.empty((len(specs), len(ks), q), dtype=complex)
+    q = onsite.shape[-1]
+    sites = np.arange(q)
+    nxt = (sites + 1) % q
+    mirror = (doubled_centre - 2 - sites) % q
+    re = -np.multiply.outer(np.cos(ks), hopping)
+    im = -np.multiply.outer(np.sin(ks), hopping)
+    rows = np.concatenate([sites, nxt, sites, nxt])
+    cols = np.concatenate([nxt, sites, mirror[nxt], mirror])
+    bonds = np.zeros((len(ks), q, q))
+    # add.at accumulates the entries that coincide for q <= 2
+    np.add.at(bonds, (slice(None), rows, cols), np.concatenate([re, re, im, -im], axis=-1))
+    r = np.repeat(bonds[None], len(onsite), axis=0)
+    r[..., sites, sites] += onsite.real[:, None, :]
+    r[..., sites, mirror] += onsite.imag[:, None, :]
+    return r
+
+
+def _solve(onsite: np.ndarray, hopping, ks: np.ndarray, doubled_centre: int) -> np.ndarray:
+    """Eigenvalues ``(len(onsite), len(ks), q)`` of lattices sharing one centre.
+
+    A centre of -1 (none) takes the complex ``bloch_matrix`` route.  Else R
+    goes to the real driver, which returns every real eigenvalue with Im
+    exactly 0, or, for a Hermitian lattice, where R is symmetric, to
+    ``eigvalsh``, which cannot split a degenerate pair into a complex one.
+    """
+    if doubled_centre < 0:
+        specs = [SuperlatticeSpec(tuple(row), tuple(hopping)) for row in onsite]
+        return eig_complex(np.stack([bloch_matrix(spec, ks) for spec in specs]))
+    r = _real_bloch(onsite, hopping, ks, doubled_centre)
+    hermitian = ~onsite.imag.any(axis=-1)
+    values = np.empty(r.shape[:-1], dtype=complex)
+    values[hermitian] = np.linalg.eigvalsh(r[hermitian])
+    values[~hermitian] = eig_complex(r[~hermitian])
+    return values
+
+
+def _spectra(onsite, hopping, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of every lattice at every k, and which came out exact.
+
+    ``onsite`` holds one lattice per row, shape ``(S, q)``, all sharing
+    ``hopping``.  Returns the ``(S, len(ks), q)`` eigenvalues and the
+    ``(S,)`` mask of lattices with a parity centre, whose real eigenvalues
+    have Im exactly 0.  LAPACK solves at most ``_CHUNK_BYTES`` of matrices
+    per call: whole k-rows of several lattices when they fit, else slices of
+    one lattice's k-row.
+    """
+    onsite = np.asarray(onsite, dtype=complex)
+    hopping = np.asarray(hopping, dtype=float)
+    n_specs, q = onsite.shape
+    centres = _doubled_centres(onsite, hopping)
+    out = np.empty((n_specs, len(ks), q), dtype=complex)
     per_chunk = max(1, _CHUNK_BYTES // (16 * q * q))
     per_spec = max(1, per_chunk // len(ks))
     k_step = min(len(ks), per_chunk)
-    for lo in range(0, len(specs), per_spec):
-        for klo in range(0, len(ks), k_step):
-            stack = np.stack([bloch_matrix(spec, ks[klo : klo + k_step]) for spec in specs[lo : lo + per_spec]])
-            out[lo : lo + per_spec, klo : klo + k_step] = eig_complex(stack)
-    return out
+    for centre in np.unique(centres):
+        rows = np.flatnonzero(centres == centre)
+        for lo in range(0, len(rows), per_spec):
+            block = rows[lo : lo + per_spec]
+            for klo in range(0, len(ks), k_step):
+                k_slice = slice(klo, klo + k_step)
+                out[block, k_slice] = _solve(onsite[block], hopping, ks[k_slice], centre)
+    return out, centres >= 0
 
 
 def _solved_rows(num_k: int) -> int:
@@ -126,7 +193,8 @@ def band_structure(spec: SuperlatticeSpec, num_k: int) -> BandStructure:
     solved = _solved_rows(num_k)
     energies = np.empty((num_k, spec.q), dtype=complex)
     half = energies[:solved]
-    half[:] = _spectra([spec], ks[:solved])[0]
+    values, _ = _spectra([spec.onsite], spec.hopping, ks[:solved])
+    half[:] = values[0]
     order = np.lexsort((half.imag, half.real))
     half[:] = half[np.arange(solved)[:, None], order]
     energies[solved:] = energies[num_k - solved : 0 : -1]
@@ -171,17 +239,21 @@ def diagnose_pt_phase(
 
     Evaluates the eigenvalues at k = 0 and k = -pi/q, which decide the phase;
     ``guard_points > 0`` additionally scans a uniform interior grid so any
-    deviation from the two-point criterion would be flagged.
+    deviation from the two-point criterion would be flagged.  A lattice with
+    a parity centre is unbroken iff every Im E is exactly 0; ``tol`` bounds
+    max |Im E| only for a lattice without one.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     ks = _decisive_k(spec.q)
     if guard_points > 0:
         ks = np.concatenate([ks, _k_grid(spec.q, guard_points)])
-    imag_max = np.max(np.abs(_spectra([spec], ks)[0].imag), axis=-1)
+    values, exact = _spectra([spec.onsite], spec.hopping, ks)
+    imag_max = np.max(np.abs(values[0].imag), axis=-1)
     at = int(np.argmax(imag_max))
     worst = float(imag_max[at])
-    return PhaseDiagnosis(unbroken=worst <= tol, max_abs_imag=worst, witness_k=float(ks[at]), tol=tol)
+    limit = 0.0 if exact[0] else tol
+    return PhaseDiagnosis(unbroken=worst <= limit, max_abs_imag=worst, witness_k=float(ks[at]), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -208,6 +280,8 @@ def breaking_threshold(
     ``tol_lambda`` is below their spacing.  Multiple flips in the scan are
     reported as a warning and the first is refined.  If the family never
     breaks, ``lambda_c`` is pinned at ``lambda_max`` with the flag set.
+    Every strength is decided as :func:`diagnose_pt_phase` decides it, with
+    ``reality_tol`` as its ``tol``.
     """
     if not (lambda_max > 0 and math.isfinite(lambda_max)):
         raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
@@ -223,8 +297,13 @@ def breaking_threshold(
         raise ValueError("family is already broken at lambda = 0")
 
     lams = np.linspace(0.0, lambda_max, coarse_samples)
-    scan = _spectra([family.at(lam) for lam in lams[1:]], _decisive_k(family.q))
-    states = [True] + list(np.max(np.abs(scan.imag), axis=(1, 2)) <= reality_tol)
+    # the rows of family.at(lam), as exact as the constructor makes them
+    onsite = np.empty((len(lams) - 1, family.q), dtype=complex)
+    onsite.real = family.onsite_real
+    onsite.imag = np.multiply.outer(lams[1:], family.onsite_imag)
+    scan, exact = _spectra(onsite, family.hopping, _decisive_k(family.q))
+    limits = np.where(exact, 0.0, reality_tol)
+    states = [True] + list(np.max(np.abs(scan.imag), axis=(1, 2)) <= limits)
     flips = [i for i in range(len(lams) - 1) if states[i] and not states[i + 1]]
     if not flips:
         return ThresholdResult(
@@ -253,12 +332,18 @@ def breaking_threshold(
 
 
 def max_growth_rate(spec: SuperlatticeSpec, num_k: int = 256, tol: float = 1e-9) -> float:
-    """Largest Im E over the sampled bands; clipped to 0 in the unbroken phase."""
+    """Largest Im E over the sampled bands; 0 in the unbroken phase.
+
+    For a lattice with a parity centre every Im E of the unbroken phase is
+    exactly 0; for one without, a maximum at or below ``tol`` is clipped to 0.
+    """
     if num_k < 2:
         raise ValueError("need at least 2 k-points")
     ks = _k_grid(spec.q, num_k)[: _solved_rows(num_k)]
-    sigma = float(np.max(_spectra([spec], ks).imag))
-    return 0.0 if sigma <= tol else sigma
+    values, exact = _spectra([spec.onsite], spec.hopping, ks)
+    sigma = float(np.max(values.imag))
+    limit = 0.0 if exact[0] else tol
+    return 0.0 if sigma <= limit else sigma
 
 
 @dataclass(frozen=True)

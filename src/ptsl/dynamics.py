@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .lattice import SuperlatticeSpec
 from .numerics import NumericsError
@@ -54,8 +52,10 @@ class PropagationResult:
     period: int
 
 
-def _chain_hamiltonian(spec: SuperlatticeSpec, n_sites: int) -> scipy.sparse.csr_matrix:
-    """Sparse tridiagonal Hamiltonian on sites 1..n_sites with open ends."""
+def _chain_hamiltonian(spec: SuperlatticeSpec, n_sites: int):
+    """Sparse (CSR) tridiagonal Hamiltonian on sites 1..n_sites with open ends."""
+    import scipy.sparse
+
     if n_sites < 1:
         raise ValueError("need at least one site")
     cells = np.arange(n_sites) % spec.q
@@ -89,8 +89,9 @@ def propagate(
 
     The site count is the length of ``psi0`` and must cover at least two
     periods.  The far-boundary flag is raised (not an error) when more than a
-    1e-6 fraction of the norm enters the last period at any sample.  A state
-    that overflows to a non-finite value raises :class:`NumericsError`.
+    1e-6 fraction of the norm enters the last period at any sample.  A state,
+    intensity or total norm that overflows to a non-finite value raises
+    :class:`NumericsError`.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     n_sites = psi0.size
@@ -103,19 +104,27 @@ def propagate(
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
 
+    from scipy.sparse.linalg import expm_multiply
+
     generator = -1j * _chain_hamiltonian(spec, n_sites)
+    times = np.linspace(0.0, t_max, num_samples)
     with np.errstate(over="ignore", invalid="ignore"):
         states = expm_multiply(
             generator, psi0, start=0.0, stop=t_max, num=num_samples, endpoint=True
         )
-    if not np.all(np.isfinite(states)):
-        raise NumericsError(f"non-finite state before t={t_max:.12g}")
-    intensities = np.abs(states) ** 2
-    total = intensities.sum(axis=1)
+        intensities = np.abs(states) ** 2
+        total = intensities.sum(axis=1)
+    # a non-finite state, intensity or norm makes its sample's total non-finite
+    overflowed = ~np.isfinite(total)
+    if overflowed.any():
+        raise NumericsError(
+            f"non-finite state or intensity from t={times[np.argmax(overflowed)]:.12g}: "
+            "|psi|^2 exceeds the float range"
+        )
     tail = intensities[:, n_sites - spec.q :].sum(axis=1)
     reached = bool(np.any(tail > _BOUNDARY_FRACTION * total))
     return PropagationResult(
-        sample_times=np.linspace(0.0, t_max, num_samples),
+        sample_times=times,
         intensities=intensities,
         total_norm=total,
         boundary_reach_flag=reached,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .bloch import diagnose_pt_phase
 from .lattice import SuperlatticeSpec
@@ -94,6 +93,8 @@ def _match_multisets(a: np.ndarray, b: np.ndarray, tol: float) -> float:
         raise RouteMismatchError(a, b, math.inf)
     if len(a) == 0:
         return 0.0
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     worst = float(cost[rows, cols].max())

@@ -28,7 +28,6 @@ __all__ = [
     "check_pt_symmetry",
     "family_from_json",
     "spec_from_json",
-    "spec_to_json",
 ]
 
 
@@ -79,12 +78,6 @@ class SuperlatticeSpec:
     def hopping_at(self, n: int) -> float:
         """kappa_n for any integer bond index (periodic extension)."""
         return self.hopping[(n - 1) % self.q]
-
-    def is_hermitian(self, tol: float = 0.0) -> bool:
-        return all(abs(v.imag) <= tol for v in self.onsite)
-
-    def conjugated(self) -> "SuperlatticeSpec":
-        return SuperlatticeSpec(tuple(v.conjugate() for v in self.onsite), self.hopping)
 
 
 @dataclass(frozen=True)
@@ -181,18 +174,28 @@ def check_pt_symmetry(spec: SuperlatticeSpec, tol: float = 1e-12) -> PTSymmetryR
     tolerance because the constructions feeding this check are exact to
     rounding.
     """
-    q = spec.q
-    for doubled_center in range(2 * q):
-        ok = True
-        for n in range(q):
-            v_ok = abs(spec.onsite_at(doubled_center - n) - spec.onsite_at(n).conjugate()) <= tol
-            k_ok = abs(spec.hopping_at(doubled_center - n - 1) - spec.hopping_at(n)) <= tol
-            if not (v_ok and k_ok):
-                ok = False
-                break
-        if ok:
-            return PTSymmetryReport(symmetric=True, center=doubled_center / 2.0)
-    return PTSymmetryReport(symmetric=False, center=None)
+    doubled = _doubled_centres(np.asarray([spec.onsite]), spec.hopping, tol)[0]
+    if doubled < 0:
+        return PTSymmetryReport(symmetric=False, center=None)
+    return PTSymmetryReport(symmetric=True, center=doubled / 2.0)
+
+
+def _doubled_centres(onsite: np.ndarray, hopping, tol: float = 1e-12) -> np.ndarray:
+    """Twice the smallest parity center of each on-site row, or -1 if none.
+
+    ``onsite`` has shape ``(S, q)``, one lattice per row, all sharing
+    ``hopping``.  With 0-based site j, the center c = d/2 maps site j to
+    ``(d - 2 - j) mod q`` and bond j to ``(d - 3 - j) mod q``; all S x 2q
+    candidates are tested in one comparison.
+    """
+    q = onsite.shape[-1]
+    hopping = np.asarray(hopping, dtype=float)
+    doubled = np.arange(2 * q)
+    partner = (doubled[:, None] - 2 - np.arange(q)) % q
+    bonds_ok = np.all(np.abs(hopping[(partner - 1) % q] - hopping) <= tol, axis=-1)
+    sites_ok = np.all(np.abs(onsite[:, partner] - onsite.conj()[:, None, :]) <= tol, axis=-1)
+    ok = sites_ok & bonds_ok
+    return np.where(ok.any(axis=-1), np.argmax(ok, axis=-1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +254,3 @@ def family_from_json(obj: dict) -> ParametricLattice:
         onsite_imag=tuple(v.imag for v in spec.onsite),
         hopping=spec.hopping,
     )
-
-
-def spec_to_json(spec: SuperlatticeSpec) -> dict:
-    return {
-        "q": spec.q,
-        "onsite": [[v.real, v.imag] for v in spec.onsite],
-        "hopping": list(spec.hopping),
-    }

@@ -161,7 +161,8 @@ def symbolic_period_matrix(
     """Exact polynomial product of the q site factors.
 
     Returns the entries ``(s11, s12, s21, s22)`` of S(E) as ascending
-    coefficient arrays.  Each is trimmed of float noise (threshold 1e-10
+    coefficient arrays.  A product that overflows raises
+    :class:`NumericsError`.  Each is trimmed of float noise (threshold 1e-10
     relative to its largest coefficient) and checked against the structural
     degree pattern (q, q-1, q-1, q-2) and the unimodularity identity
     ``s11*s22 - s12*s21 = 1`` coefficient-wise.
@@ -177,6 +178,8 @@ def symbolic_period_matrix(
         a = np.array([v_n / k_n, -1.0 / k_n], dtype=complex)
         b = np.array([-spec.hopping_at(n - 1) / k_n], dtype=complex)
         top, bottom = [P.polyadd(P.polymul(a, t), P.polymul(b, u)) for t, u in zip(top, bottom)], top
+    if not all(np.all(np.isfinite(p)) for p in (*top, *bottom)):
+        raise NumericsError("transfer polynomial product overflowed: coefficients are not finite")
     entries = tuple(_trim_relative(p) for p in (*top, *bottom))
     s11, s12, s21, s22 = entries
 

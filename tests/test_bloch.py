@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import multiset_distance, pt_specs
+from conftest import multiset_distance, pt_specs, random_pt_spec
 from ptsl import (
     HarperParams,
     SuperlatticeSpec,
@@ -15,6 +15,7 @@ from ptsl import (
     bloch_matrix,
     breaking_threshold,
     build_harper,
+    check_pt_symmetry,
     diagnose_pt_phase,
     eig_complex,
     harper_family,
@@ -22,10 +23,18 @@ from ptsl import (
     period_matrix,
     sweep,
 )
+from ptsl.bloch import _real_bloch, _spectra
 
 HERMITIAN = build_harper(HarperParams(0.3, 0.0, 1, 6, 0))
 UNBROKEN = build_harper(HarperParams(0.3, 0.134, 1, 6, 0))
 BROKEN = build_harper(HarperParams(0.3, 0.30, 1, 6, 0))
+
+
+def real_route_eigenvalues(spec, k):
+    """Eigenvalues of the real matrix R at one k, solved alone."""
+    doubled = int(2 * check_pt_symmetry(spec).center)
+    r = _real_bloch(np.array([spec.onsite]), np.array(spec.hopping), np.array([k]), doubled)
+    return eig_complex(r[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +86,58 @@ def test_bloch_eigenvalues_satisfy_transfer_dispersion():
     k = -math.pi / 6
     for energy in eig_complex(bloch_matrix(HERMITIAN, k)):
         assert abs(period_matrix(HERMITIAN, energy).trace - (-2.0)) < 1e-7
+
+
+def _uniform_gauge(spec, k):
+    # bond n -> n+1 carries -kappa_n exp(ik); bloch_matrix conjugated by diag(exp(ikn))
+    q = spec.q
+    h = np.diag(np.asarray(spec.onsite, dtype=complex))
+    for n in range(q):
+        h[n, (n + 1) % q] += -spec.hopping[n] * np.exp(1j * k)
+        h[(n + 1) % q, n] += -spec.hopping[n] * np.exp(-1j * k)
+    return h
+
+
+def test_real_matrix_is_unitarily_similar_and_matches_complex_route():
+    rng = np.random.default_rng(5)
+    kinds = set()
+    for q in [1, 2] * 20 + list(range(3, 10)) * 20:
+        spec = random_pt_spec(rng, q)
+        k = rng.uniform(-math.pi, math.pi)
+        h = _uniform_gauge(spec, k)
+        reference = eig_complex(bloch_matrix(spec, k))
+        gaps = np.abs(reference[:, None] - reference[None, :]) + np.diag(np.full(q, np.inf))
+        # near an exceptional point the eigenvalues are ill-conditioned
+        well_separated = gaps.min() >= 1e-3
+        centres = []
+        for doubled in range(2 * q):
+            reflect = np.zeros((q, q))
+            reflect[(doubled - 2 - np.arange(q)) % q, np.arange(q)] = 1.0
+            if np.max(np.abs(reflect @ h.conj() @ reflect - h)) > 1e-14:
+                continue
+            centres.append(doubled)
+            kinds.add((q, doubled % 2))
+            unitary = ((1 + 1j) * np.eye(q) + (1 - 1j) * reflect) / 2
+            r = _real_bloch(np.array([spec.onsite]), np.array(spec.hopping), np.array([k]), doubled)[0, 0]
+            assert r.dtype == float
+            assert np.max(np.abs(unitary.conj().T @ h @ unitary - r)) <= 1e-14
+            if well_separated:
+                scale = max(1.0, float(np.max(np.abs(reference))))
+                assert multiset_distance(eig_complex(r), reference) <= 1e-9 * scale
+        assert 2 * check_pt_symmetry(spec).center == min(centres)
+    # site (even) and bond (odd) centres at q = 1, 2 and beyond
+    assert {(1, 0), (1, 1), (2, 0), (2, 1), (5, 0), (5, 1)} <= kinds
+
+
+def test_lattice_without_centre_takes_complex_route():
+    spec = SuperlatticeSpec((0.1, 0.2 + 1e-3j, 0.5), (1.0, 1.0, 1.0))
+    assert not check_pt_symmetry(spec).symmetric
+    ks = np.array([0.0, -math.pi / 3, 0.4])
+    values, exact = _spectra([spec.onsite], spec.hopping, ks)
+    assert not exact[0]
+    assert values[0].tobytes() == eig_complex(bloch_matrix(spec, ks)).tobytes()
+    diagnosis = diagnose_pt_phase(spec, tol=1.0)
+    assert diagnosis.unbroken and diagnosis.max_abs_imag > 0
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +238,14 @@ def test_broken_above_threshold():
 
 
 def test_guard_grid_diagnosis_matches_per_k_scan():
-    spec = build_harper(HarperParams(0.3, 0.2, 1, 6, 0))
-    diagnosis = diagnose_pt_phase(spec, guard_points=33)
     ks = [0.0, -math.pi / 6, *np.linspace(-math.pi / 6, math.pi / 6, 33, endpoint=False)]
-    imag = [float(np.max(np.abs(eig_complex(bloch_matrix(spec, k)).imag))) for k in ks]
-    assert diagnosis.max_abs_imag == max(imag)
-    assert diagnosis.witness_k == ks[imag.index(max(imag))]
+    for lam, unbroken in ((0.2, True), (0.3, False)):
+        spec = build_harper(HarperParams(0.3, lam, 1, 6, 0))
+        diagnosis = diagnose_pt_phase(spec, guard_points=33)
+        imag = [float(np.max(np.abs(real_route_eigenvalues(spec, k).imag))) for k in ks]
+        assert diagnosis.max_abs_imag == max(imag)
+        assert diagnosis.witness_k == ks[imag.index(max(imag))]
+        assert diagnosis.unbroken == unbroken == (max(imag) == 0.0)
 
 
 def _threshold_by_single_diagnoses(family, lambda_max, tol_lambda):
@@ -209,6 +272,32 @@ def test_threshold_coarse_stack_matches_single_diagnoses(p, q):
         result = breaking_threshold(family, lambda_max=0.5)
     expected = _threshold_by_single_diagnoses(family, 0.5, 1e-4)
     assert (result.lambda_c, result.bracket, result.transitions) == expected
+
+
+@pytest.mark.parametrize("q", [16, 20, 24])
+def test_threshold_vanishes_for_multiples_of_four(q):
+    # the gap on the side the gain/loss pushes toward is closed: lambda_c = 0
+    result = breaking_threshold(harper_family(0.3, 1, q), lambda_max=0.5)
+    assert result.lambda_c <= 1e-3
+
+
+def test_threshold_q19_p2_is_small():
+    family = harper_family(0.3, 2, 19)
+    result = breaking_threshold(family, lambda_max=0.5)
+    assert abs(result.lambda_c - 0.00282) <= 1e-4
+    for lam, real in ((result.bracket[0], True), (result.lambda_c + 1e-4, False)):
+        values = eig_complex(bloch_matrix(family.at(lam), np.array([0.0, -math.pi / 19])))
+        assert (np.max(np.abs(values.imag)) <= 1e-12 * np.max(np.abs(values))) == real
+
+
+# 60-digit values of lambda_c for delta = 0.3, p = 1, computed once with mpmath
+_ORACLE_THRESHOLDS = {19: 0.0513672, 21: 0.0465382, 23: 0.0425348, 25: 0.0391628, 27: 0.0362842}
+
+
+@pytest.mark.parametrize("q", sorted(_ORACLE_THRESHOLDS))
+def test_threshold_matches_high_precision_oracle(q):
+    result = breaking_threshold(harper_family(0.3, 1, q), lambda_max=0.5, tol_lambda=1e-6)
+    assert abs(result.lambda_c - _ORACLE_THRESHOLDS[q]) <= 1e-5
 
 
 def test_threshold_against_bisection_bracket():
@@ -271,9 +360,19 @@ def test_growth_rate_zero_when_unbroken():
 def test_growth_rate_equals_full_grid_maximum(q, num_k):
     spec = build_harper(HarperParams(0.3, 0.3, 1, q, 0))
     ks = np.linspace(-math.pi / q, math.pi / q, num_k, endpoint=False)
-    full = max(float(np.max(eig_complex(bloch_matrix(spec, k)).imag)) for k in ks)
-    full = 0.0 if full <= 1e-9 else full
+    full = max(float(np.max(real_route_eigenvalues(spec, k).imag)) for k in ks)
     assert abs(max_growth_rate(spec, num_k=num_k) - full) <= 1e-12 * abs(full)
+
+
+@pytest.mark.parametrize("num_k", [2, 9, 64])
+@pytest.mark.parametrize("q", [1, 2, 5, 6, 19])
+def test_growth_rate_matches_complex_route(q, num_k):
+    # the benchmark's bound on sigma against its own complex eigenvalues
+    spec = build_harper(HarperParams(0.3, 0.3, 1, q, 0))
+    ks = np.linspace(-math.pi / q, math.pi / q, num_k, endpoint=False)
+    own = max(float(np.max(eig_complex(bloch_matrix(spec, k)).imag)) for k in ks)
+    own = 0.0 if own <= 1e-9 else own
+    assert abs(max_growth_rate(spec, num_k=num_k) - own) <= 1e-10 + 1e-8 * own
 
 
 def test_growth_rate_positive_when_broken():

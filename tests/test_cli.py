@@ -294,6 +294,34 @@ def test_evolve_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_evolve_intensity_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # the states stay finite to t = 650 but |psi|^2 overflows; this used to
+    # write inf intensities and NaN growth rates and exit 0
+    out = tmp_path / "x.csv"
+    code = run(
+        "evolve", "--harper", "--delta", "0.3", "--lambda", "1.0", "--q", "6", "--n0", "1",
+        "--tmax", "650", "--sites", "60", "--out", str(out),
+    )
+    assert code == 1
+    assert "|psi|^2 exceeds the float range" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "x.summary.json").exists()
+
+
+def test_import_loads_no_scipy_submodules():
+    # bands, threshold and sweep need only numpy; edges and evolve import
+    # scipy.optimize and scipy.sparse where they use them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import json, sys, ptsl.cli; print(json.dumps([m for m in sys.modules if m.startswith('scipy.')]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))], loaded
+
+
 def test_evolve_rejects_bad_window(tmp_path):
     with pytest.raises(SystemExit) as info:
         run(

@@ -213,3 +213,11 @@ def test_symbolic_unimodularity_identity_coefficientwise():
     s11, s12, s21, s22 = symbolic_period_matrix(HARPER)
     residual = P.polysub(P.polysub(P.polymul(s11, s22), P.polymul(s12, s21)), [1.0])
     assert np.max(np.abs(residual)) < 1e-9
+
+
+def test_symbolic_overflow_is_named():
+    # 1/kappa = 1e200 per site overflows the coefficients; this used to be
+    # reported as the degree pattern (0, 0, 0, 0) of an all-trimmed product
+    spec = SuperlatticeSpec((0.0, 0.0, 0.1), (1e-200, 1e-200, 1.0))
+    with pytest.raises(NumericsError, match="transfer polynomial product overflowed"):
+        symbolic_period_matrix(spec)

@@ -1,25 +1,27 @@
 """Infinite-lattice spectrum: Bloch matrix, bands, PT-phase diagnosis, sweeps.
 
 For a period-q superlattice the Bloch reduction at wave number
-``k in [-pi/q, pi/q)`` is a q x q matrix: tridiagonal in the on-site energies
-and hoppings, with corner entries ``-kappa_q exp(-+ i k q)`` closing the
-period.  Its q eigenvalues trace out the energy bands E_n(k).
+``k in [-pi/q, pi/q)`` is a q x q matrix.  It is built in the uniform
+gauge: the diagonal holds the on-site energies, bond n -> n+1 carries
+``-kappa_n exp(ik)`` and bond n+1 -> n carries ``-kappa_n exp(-ik)``, with
+bond q closing the period.  Its q eigenvalues trace out the energy bands
+E_n(k); shifting k by 2 pi / q changes the matrix by a diagonal unitary and
+leaves them unchanged.
 
 The phase criterion: the spectrum is entirely real (unbroken PT phase) if and
 only if the eigenvalues of the two matrices at k = 0 and k = -pi/q are real.
 An optional guard grid scans interior k as a numerical cross-check.
 
-The real route: a lattice with a parity centre c (``check_pt_symmetry``) is
-PT symmetric at every k.  In the uniform gauge, where every bond carries
-the phase exp(+-ik), the reflection P about c gives ``P conj(H) P = H``, so H
-is unitarily similar to the real matrix ``R = Re H + (Im H) P`` (Bender,
-Berry & Mandilara, J. Phys. A 35, L467 (2002)).  R goes to LAPACK's real
-driver, which returns each real eigenvalue with Im exactly 0 and complex
-ones as conjugate pairs; a Hermitian lattice makes R symmetric and goes to
-``eigvalsh``.  The phase decision is therefore exact: unbroken means every
-Im E is 0, with no tolerance.  A lattice without a centre (possible for
-JSON input) falls back to the complex ``bloch_matrix`` and calls a spectrum
-real when max |Im E| <= ``tol``.
+A lattice with a parity centre c (``check_pt_symmetry``) is PT symmetric at
+every k: the reflection P about c gives ``P conj(H) P = H``, so H is
+unitarily similar to the real matrix ``R = Re H + (Im H) P`` (Bender,
+Berry & Mandilara, J. Phys. A 35, L467 (2002)).  One dispatch serves every
+lattice: a Hermitian one (all Im V = 0) goes to ``eigvalsh`` and any other
+to ``eigvals``, on R when it has a centre and on H when not.  LAPACK's real
+solver returns each real eigenvalue of R with Im exactly 0, so a spectrum is
+exact when its lattice has a centre or is Hermitian, and unbroken then means
+every Im E is 0.  A non-Hermitian lattice without a centre (possible for
+JSON input) counts as unbroken when max |Im E| <= ``REALITY_TOL``.
 
 Spectra are solved as stacks, one LAPACK call per chunk of k-points.  Since
 H(-k) = H(k)^T, the spectrum depends on k only through cos(kq): on the
@@ -37,7 +39,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import ParametricLattice, SuperlatticeSpec, _doubled_centres
-from .numerics import eig_complex
 
 __all__ = [
     "BandStructure",
@@ -58,81 +59,58 @@ __all__ = [
 # spectrum computation independently of the number of k-points
 _CHUNK_BYTES = 128 * 1024
 
+# max |Im E| below which a non-Hermitian lattice without a parity centre
+# counts as real; every other spectrum is exact and needs no tolerance
+REALITY_TOL = 1e-9
 
-def _wrap_k(k, q: int):
-    """Reduce k to [-pi/q, pi/q); the matrix depends on k only via exp(ikq)."""
-    half_width = math.pi / q
-    return (k + half_width) % (2.0 * half_width) - half_width
+
+def _bloch_stack(onsite: np.ndarray, hopping, ks: np.ndarray) -> np.ndarray:
+    """Uniform-gauge Bloch matrices ``(S, len(ks), q, q)`` of on-site rows ``(S, q)``.
+
+    Bond n -> n+1 (mod q) carries ``-kappa_n exp(ik)`` and its reverse the
+    conjugate; entries that coincide for q <= 2 add up.
+    """
+    n_specs, q = onsite.shape
+    sites = np.arange(q)
+    nxt = (sites + 1) % q
+    forward = np.empty((len(ks), q), dtype=complex)
+    forward.real = -np.multiply.outer(np.cos(ks), hopping)
+    forward.imag = -np.multiply.outer(np.sin(ks), hopping)
+    h = np.zeros((n_specs, len(ks), q, q), dtype=complex)
+    h[..., sites, sites] = onsite[:, None, :]
+    h[..., sites, nxt] += forward
+    h[..., nxt, sites] += forward.conj()
+    return h
 
 
 def bloch_matrix(spec: SuperlatticeSpec, k) -> np.ndarray:
-    """q x q Bloch-reduced matrix at wave number k (wrapped into range).
-
-    For an array of n wave numbers, returns the ``(n, q, q)`` stack.  The
-    corner phases add onto existing entries, which yields the correct
-    degenerate forms for q = 1 (scalar ``V_1 - 2 kappa_1 cos k``) and q = 2
-    (corner merging into the off-diagonal).
-    """
-    q = spec.q
-    k = _wrap_k(np.asarray(k, dtype=float), q)
-    m = np.zeros(k.shape + (q, q), dtype=complex)
-    sites = np.arange(q)
-    m[..., sites, sites] = spec.onsite
-    hop = np.asarray(spec.hopping)
-    m[..., sites[:-1], sites[1:]] += -hop[:-1]
-    m[..., sites[1:], sites[:-1]] += -hop[:-1]
-    m[..., 0, q - 1] += -hop[q - 1] * np.exp(-1j * k * q)
-    m[..., q - 1, 0] += -hop[q - 1] * np.exp(+1j * k * q)
-    return m
+    """q x q uniform-gauge Bloch matrix at wave number k; ``k.shape + (q, q)`` for an array."""
+    ks = np.asarray(k, dtype=float)
+    h = _bloch_stack(np.array([spec.onsite], dtype=complex), spec.hopping, ks.reshape(-1))[0]
+    return h.reshape(ks.shape + h.shape[-2:])
 
 
 def _k_grid(q: int, num_k: int) -> np.ndarray:
     return np.linspace(-math.pi / q, math.pi / q, num_k, endpoint=False)
 
 
-def _real_bloch(onsite: np.ndarray, hopping, ks: np.ndarray, doubled_centre: int) -> np.ndarray:
-    """The real matrix R = Re H + (Im H) P of each on-site row at each k.
-
-    H is the Bloch matrix in the uniform gauge, where bond n -> n+1 carries
-    ``-kappa_n exp(ik)`` and n+1 -> n carries ``-kappa_n exp(-ik)``; P is the
-    reflection ``j -> (d - 2 - j) mod q`` about the parity centre d/2, so
-    ``P conj(H) P = H`` and R = U^H H U with ``U = ((1+i) I + (1-i) P)/2``.
-    Entry (a, b) of (Im H) P is ``Im H[a, P b]``.  Returns shape
-    ``(len(onsite), len(ks), q, q)``.
-    """
-    q = onsite.shape[-1]
-    sites = np.arange(q)
-    nxt = (sites + 1) % q
-    mirror = (doubled_centre - 2 - sites) % q
-    re = -np.multiply.outer(np.cos(ks), hopping)
-    im = -np.multiply.outer(np.sin(ks), hopping)
-    rows = np.concatenate([sites, nxt, sites, nxt])
-    cols = np.concatenate([nxt, sites, mirror[nxt], mirror])
-    bonds = np.zeros((len(ks), q, q))
-    # add.at accumulates the entries that coincide for q <= 2
-    np.add.at(bonds, (slice(None), rows, cols), np.concatenate([re, re, im, -im], axis=-1))
-    r = np.repeat(bonds[None], len(onsite), axis=0)
-    r[..., sites, sites] += onsite.real[:, None, :]
-    r[..., sites, mirror] += onsite.imag[:, None, :]
-    return r
-
-
 def _solve(onsite: np.ndarray, hopping, ks: np.ndarray, doubled_centre: int) -> np.ndarray:
     """Eigenvalues ``(len(onsite), len(ks), q)`` of lattices sharing one centre.
 
-    A centre of -1 (none) takes the complex ``bloch_matrix`` route.  Else R
-    goes to the real driver, which returns every real eigenvalue with Im
-    exactly 0, or, for a Hermitian lattice, where R is symmetric, to
-    ``eigvalsh``, which cannot split a degenerate pair into a complex one.
+    With a centre (``doubled_centre >= 0``) the matrices are R, where entry
+    (a, b) of (Im H) P is ``Im H[a, P b]`` with P the reflection
+    ``j -> (d - 2 - j) mod q``; without one they are H.  Hermitian rows go
+    to ``eigvalsh``, which cannot split a degenerate pair into a complex
+    one, and the others to ``eigvals``.
     """
-    if doubled_centre < 0:
-        specs = [SuperlatticeSpec(tuple(row), tuple(hopping)) for row in onsite]
-        return eig_complex(np.stack([bloch_matrix(spec, ks) for spec in specs]))
-    r = _real_bloch(onsite, hopping, ks, doubled_centre)
+    q = onsite.shape[-1]
+    h = _bloch_stack(onsite, hopping, ks)
+    if doubled_centre >= 0:
+        h = h.real + h.imag[..., (doubled_centre - 2 - np.arange(q)) % q]
     hermitian = ~onsite.imag.any(axis=-1)
-    values = np.empty(r.shape[:-1], dtype=complex)
-    values[hermitian] = np.linalg.eigvalsh(r[hermitian])
-    values[~hermitian] = eig_complex(r[~hermitian])
+    values = np.empty(h.shape[:-1], dtype=complex)
+    values[hermitian] = np.linalg.eigvalsh(h[hermitian])
+    values[~hermitian] = np.linalg.eigvals(h[~hermitian])
     return values
 
 
@@ -141,10 +119,10 @@ def _spectra(onsite, hopping, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``onsite`` holds one lattice per row, shape ``(S, q)``, all sharing
     ``hopping``.  Returns the ``(S, len(ks), q)`` eigenvalues and the
-    ``(S,)`` mask of lattices with a parity centre, whose real eigenvalues
-    have Im exactly 0.  LAPACK solves at most ``_CHUNK_BYTES`` of matrices
-    per call: whole k-rows of several lattices when they fit, else slices of
-    one lattice's k-row.
+    ``(S,)`` mask of lattices with a parity centre or no Im V, whose real
+    eigenvalues have Im exactly 0.  LAPACK solves at most ``_CHUNK_BYTES``
+    of matrices per call: whole k-rows of several lattices when they fit,
+    else slices of one lattice's k-row.
     """
     onsite = np.asarray(onsite, dtype=complex)
     hopping = np.asarray(hopping, dtype=float)
@@ -161,7 +139,17 @@ def _spectra(onsite, hopping, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             for klo in range(0, len(ks), k_step):
                 k_slice = slice(klo, klo + k_step)
                 out[block, k_slice] = _solve(onsite[block], hopping, ks[k_slice], centre)
-    return out, centres >= 0
+    return out, (centres >= 0) | ~onsite.imag.any(axis=-1)
+
+
+def _phase(onsite, hopping, ks: np.ndarray, tol: float = REALITY_TOL):
+    """Largest |Im E| of every lattice at every k, ``(S, len(ks))``, and the
+    ``(S,)`` unbroken verdicts: every Im E is 0 for an exact spectrum, and
+    max |Im E| <= ``tol`` for any other.
+    """
+    values, exact = _spectra(onsite, hopping, ks)
+    imag = np.max(np.abs(values.imag), axis=-1)
+    return imag, imag.max(axis=-1) <= np.where(exact, 0.0, tol)
 
 
 def _solved_rows(num_k: int) -> int:
@@ -233,27 +221,26 @@ class PhaseDiagnosis:
 
 
 def diagnose_pt_phase(
-    spec: SuperlatticeSpec, tol: float = 1e-9, guard_points: int = 0
+    spec: SuperlatticeSpec, tol: float = REALITY_TOL, guard_points: int = 0
 ) -> PhaseDiagnosis:
     """Reality check of the spectrum via the two decisive wave numbers.
 
     Evaluates the eigenvalues at k = 0 and k = -pi/q, which decide the phase;
     ``guard_points > 0`` additionally scans a uniform interior grid so any
     deviation from the two-point criterion would be flagged.  A lattice with
-    a parity centre is unbroken iff every Im E is exactly 0; ``tol`` bounds
-    max |Im E| only for a lattice without one.
+    a parity centre or without gain and loss is unbroken iff every Im E is
+    exactly 0; ``tol`` bounds max |Im E| only for any other lattice.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     ks = _decisive_k(spec.q)
     if guard_points > 0:
         ks = np.concatenate([ks, _k_grid(spec.q, guard_points)])
-    values, exact = _spectra([spec.onsite], spec.hopping, ks)
-    imag_max = np.max(np.abs(values[0].imag), axis=-1)
-    at = int(np.argmax(imag_max))
-    worst = float(imag_max[at])
-    limit = 0.0 if exact[0] else tol
-    return PhaseDiagnosis(unbroken=worst <= limit, max_abs_imag=worst, witness_k=float(ks[at]), tol=tol)
+    imag, unbroken = _phase([spec.onsite], spec.hopping, ks, tol)
+    at = int(np.argmax(imag[0]))
+    return PhaseDiagnosis(
+        unbroken=bool(unbroken[0]), max_abs_imag=float(imag[0, at]), witness_k=float(ks[at]), tol=tol
+    )
 
 
 @dataclass(frozen=True)
@@ -267,45 +254,37 @@ class ThresholdResult:
 
 
 def breaking_threshold(
-    family: ParametricLattice,
-    lambda_max: float,
-    tol_lambda: float = 1e-4,
-    coarse_samples: int = 64,
-    reality_tol: float = 1e-9,
+    family: ParametricLattice, lambda_max: float, tol_lambda: float = 1e-4
 ) -> ThresholdResult:
     """First real-to-complex transition of the family on [0, lambda_max].
 
-    A coarse scan brackets the first unbroken -> broken flip, bisection
-    narrows the bracket to ``tol_lambda``, or to two adjacent floats when
-    ``tol_lambda`` is below their spacing.  Multiple flips in the scan are
-    reported as a warning and the first is refined.  If the family never
-    breaks, ``lambda_c`` is pinned at ``lambda_max`` with the flag set.
-    Every strength is decided as :func:`diagnose_pt_phase` decides it, with
-    ``reality_tol`` as its ``tol``.
+    A coarse scan of 64 strengths brackets the first unbroken -> broken
+    flip, bisection narrows the bracket to ``tol_lambda``, or to two
+    adjacent floats when ``tol_lambda`` is below their spacing.  Multiple
+    flips in the scan are reported as a warning and the first is refined.
+    If the family never breaks, ``lambda_c`` is pinned at ``lambda_max``
+    with the flag set.  Every strength is decided as
+    :func:`diagnose_pt_phase` decides it.
     """
     if not (lambda_max > 0 and math.isfinite(lambda_max)):
         raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
     if not (tol_lambda > 0 and math.isfinite(tol_lambda)):
         raise ValueError(f"tol_lambda must be positive and finite, got {tol_lambda}")
-    if coarse_samples < 2:
-        raise ValueError(f"coarse_samples must be at least 2, got {coarse_samples}")
+    ks = _decisive_k(family.q)
 
-    def unbroken(lam: float) -> bool:
-        return diagnose_pt_phase(family.at(lam), tol=reality_tol).unbroken
+    def unbroken(lams) -> np.ndarray:
+        # the rows (Re V, lam Im V) of the family at each strength
+        onsite = np.empty((len(lams), family.q), dtype=complex)
+        onsite.real = family.onsite_real
+        onsite.imag = np.multiply.outer(lams, family.onsite_imag)
+        return _phase(onsite, family.hopping, ks)[1]
 
-    if not unbroken(0.0):
+    lams = np.linspace(0.0, lambda_max, 64)
+    states = unbroken(lams)
+    if not states[0]:
         raise ValueError("family is already broken at lambda = 0")
-
-    lams = np.linspace(0.0, lambda_max, coarse_samples)
-    # the rows of family.at(lam), as exact as the constructor makes them
-    onsite = np.empty((len(lams) - 1, family.q), dtype=complex)
-    onsite.real = family.onsite_real
-    onsite.imag = np.multiply.outer(lams[1:], family.onsite_imag)
-    scan, exact = _spectra(onsite, family.hopping, _decisive_k(family.q))
-    limits = np.where(exact, 0.0, reality_tol)
-    states = [True] + list(np.max(np.abs(scan.imag), axis=(1, 2)) <= limits)
-    flips = [i for i in range(len(lams) - 1) if states[i] and not states[i + 1]]
-    if not flips:
+    flips = np.flatnonzero(states[:-1] & ~states[1:])
+    if len(flips) == 0:
         return ThresholdResult(
             lambda_c=lambda_max, bracket=(lambda_max, lambda_max), never_broken=True, transitions=0
         )
@@ -319,30 +298,27 @@ def breaking_threshold(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent floats; no tolerance below that is reachable
-        if unbroken(mid):
+        if unbroken([mid])[0]:
             lo = mid
         else:
             hi = mid
     return ThresholdResult(
-        lambda_c=0.5 * (lo + hi),
-        bracket=(lo, hi),
-        never_broken=False,
-        transitions=len(flips),
+        lambda_c=0.5 * (lo + hi), bracket=(lo, hi), never_broken=False, transitions=len(flips)
     )
 
 
-def max_growth_rate(spec: SuperlatticeSpec, num_k: int = 256, tol: float = 1e-9) -> float:
+def max_growth_rate(spec: SuperlatticeSpec, num_k: int = 256) -> float:
     """Largest Im E over the sampled bands; 0 in the unbroken phase.
 
-    For a lattice with a parity centre every Im E of the unbroken phase is
-    exactly 0; for one without, a maximum at or below ``tol`` is clipped to 0.
+    An exact spectrum of the unbroken phase has every Im E exactly 0; for
+    any other a maximum at or below ``REALITY_TOL`` is clipped to 0.
     """
     if num_k < 2:
         raise ValueError("need at least 2 k-points")
     ks = _k_grid(spec.q, num_k)[: _solved_rows(num_k)]
     values, exact = _spectra([spec.onsite], spec.hopping, ks)
     sigma = float(np.max(values.imag))
-    limit = 0.0 if exact[0] else tol
+    limit = 0.0 if exact[0] else REALITY_TOL
     return 0.0 if sigma <= limit else sigma
 
 
@@ -357,22 +333,21 @@ def sweep(
     make_family: Callable[[int], ParametricLattice],
     params: Sequence[int],
     lambda_max: float,
-    sigma_lambda: float | Callable[[int], float],
+    sigma_lambda: float,
     tol_lambda: float = 1e-4,
     num_k: int = 256,
 ) -> list[SweepRow]:
     """Threshold and growth rate per parameter value, in parameter order.
 
     ``sigma_lambda`` fixes the non-Hermitian strength at which the growth
-    rate is evaluated (a constant or a per-parameter callable).  Rows for
-    never-breaking families carry ``lambda_c = inf``.
+    rate is evaluated.  Rows for never-breaking families carry
+    ``lambda_c = inf``.
     """
 
     def one(param: int) -> SweepRow:
         family = make_family(param)
         threshold = breaking_threshold(family, lambda_max, tol_lambda=tol_lambda)
-        lam_sigma = sigma_lambda(param) if callable(sigma_lambda) else float(sigma_lambda)
-        sigma = max_growth_rate(family.at(lam_sigma), num_k=num_k)
+        sigma = max_growth_rate(family.at(float(sigma_lambda)), num_k=num_k)
         lambda_c = math.inf if threshold.never_broken else threshold.lambda_c
         return SweepRow(param=int(param), lambda_c=lambda_c, sigma=sigma)
 

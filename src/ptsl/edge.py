@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bloch import diagnose_pt_phase
+from .bloch import REALITY_TOL, diagnose_pt_phase
 from .lattice import SuperlatticeSpec
 from .numerics import eig_complex, poly_roots
 from .transfer import period_matrix, site_matrix, symbolic_period_matrix
@@ -181,24 +181,22 @@ class RealityReport:
 
 
 def spectrum_reality(
-    spec: SuperlatticeSpec,
-    tol: float = 1e-9,
-    records: list[EdgeStateRecord] | None = None,
+    spec: SuperlatticeSpec, records: list[EdgeStateRecord] | None = None
 ) -> RealityReport:
     """Whether the truncated lattice keeps an entirely real spectrum.
 
     True iff the infinite lattice is in the unbroken phase and every
-    edge-classified candidate energy is real within ``tol``; extended
+    edge-classified candidate energy is real within ``REALITY_TOL``; extended
     candidates belong to the (then real) continuous spectrum and candidates
     outside the spectrum are immaterial.  ``records`` is the census of
     ``spec`` when the caller already has it, else it is computed here.
     """
-    unbroken = diagnose_pt_phase(spec, tol=tol).unbroken
+    unbroken = diagnose_pt_phase(spec).unbroken
     if records is None:
         records = edge_spectrum(spec)
     offenders = tuple(
         r.energy
         for r in records
-        if r.classification is Classification.EDGE and abs(r.energy.imag) > tol
+        if r.classification is Classification.EDGE and abs(r.energy.imag) > REALITY_TOL
     )
     return RealityReport(real=unbroken and not offenders, offending=offenders)

@@ -143,7 +143,7 @@ def harper_family(delta: float, p: int, q: int, n0: int = 0) -> ParametricLattic
     """The Harper lattice as a family over the non-Hermitian strength."""
     HarperParams(delta=delta, lam=0.0, p=p, q=q, n0=n0)  # validates p, q
     sites = np.arange(1, q + 1)
-    phase = 2.0 * np.pi * (p / q) * (sites - n0)
+    phase = 2.0 * np.pi * (p / q) * (sites - n0 % q)  # V depends on n0 mod q only
     return ParametricLattice(
         onsite_real=tuple(delta * np.cos(phase)),
         onsite_imag=tuple(np.sin(phase)),
@@ -170,9 +170,9 @@ def check_pt_symmetry(spec: SuperlatticeSpec, tol: float = 1e-12) -> PTSymmetryR
 
     The lattice is PT symmetric about c iff the periodic extensions satisfy
     ``V_{2c-n} = V_n*`` and ``kappa_{2c-n-1} = kappa_n`` for all n; the
-    smallest matching center is reported.  Comparisons use an absolute
-    tolerance because the constructions feeding this check are exact to
-    rounding.
+    smallest matching center is reported.  Comparisons allow ``tol`` times
+    the largest |V| or |kappa| of the lattice, because the constructions
+    feeding this check are exact to rounding.
     """
     doubled = _doubled_centres(np.asarray([spec.onsite]), spec.hopping, tol)[0]
     if doubled < 0:
@@ -186,14 +186,16 @@ def _doubled_centres(onsite: np.ndarray, hopping, tol: float = 1e-12) -> np.ndar
     ``onsite`` has shape ``(S, q)``, one lattice per row, all sharing
     ``hopping``.  With 0-based site j, the center c = d/2 maps site j to
     ``(d - 2 - j) mod q`` and bond j to ``(d - 3 - j) mod q``; all S x 2q
-    candidates are tested in one comparison.
+    candidates are tested in one comparison, within ``tol`` times the row's
+    largest |V| or |kappa|.
     """
     q = onsite.shape[-1]
     hopping = np.asarray(hopping, dtype=float)
+    limit = tol * np.maximum(np.abs(onsite).max(axis=-1), np.abs(hopping).max())[:, None, None]
     doubled = np.arange(2 * q)
     partner = (doubled[:, None] - 2 - np.arange(q)) % q
-    bonds_ok = np.all(np.abs(hopping[(partner - 1) % q] - hopping) <= tol, axis=-1)
-    sites_ok = np.all(np.abs(onsite[:, partner] - onsite.conj()[:, None, :]) <= tol, axis=-1)
+    bonds_ok = np.all(np.abs(hopping[(partner - 1) % q] - hopping) <= limit, axis=-1)
+    sites_ok = np.all(np.abs(onsite[:, partner] - onsite.conj()[:, None, :]) <= limit, axis=-1)
     ok = sites_ok & bonds_ok
     return np.where(ok.any(axis=-1), np.argmax(ok, axis=-1), -1)
 

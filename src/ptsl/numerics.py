@@ -123,9 +123,9 @@ def eig_complex(matrix) -> np.ndarray:
     """Eigenvalues of a dense square matrix, or of each matrix of a stack.
 
     Accepts shape ``(..., n, n)`` and returns ``(..., n)``.  Backed by
-    LAPACK's Hessenberg + shifted-QR path.  Each exactly real matrix, alone
-    or in a stack, is dispatched to the real driver so its spectrum comes
-    back closed under complex conjugation.
+    LAPACK's Hessenberg + shifted-QR path.  An exactly real array goes to
+    the real solver (dgeev), so each spectrum comes back closed under complex
+    conjugation; anything else goes to the complex one (zgeev).
     """
     m = np.asarray(matrix)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
@@ -134,8 +134,5 @@ def eig_complex(matrix) -> np.ndarray:
         return np.empty(m.shape[:-1], dtype=complex)
     if not np.all(np.isfinite(m.real)) or (np.iscomplexobj(m) and not np.all(np.isfinite(m.imag))):
         raise ValueError("matrix entries must be finite")
-    real = ~m.imag.any(axis=(-2, -1))
-    values = np.empty(m.shape[:-1], dtype=complex)
-    values[real] = np.linalg.eigvals(m.real[real].astype(float))
-    values[~real] = np.linalg.eigvals(m[~real].astype(complex))
-    return values
+    m = m.real.astype(float) if not m.imag.any() else m.astype(complex)
+    return np.linalg.eigvals(m).astype(complex)

@@ -23,18 +23,22 @@ from ptsl import (
     period_matrix,
     sweep,
 )
-from ptsl.bloch import _real_bloch, _spectra
+from ptsl.bloch import _bloch_stack, _spectra
 
 HERMITIAN = build_harper(HarperParams(0.3, 0.0, 1, 6, 0))
 UNBROKEN = build_harper(HarperParams(0.3, 0.134, 1, 6, 0))
 BROKEN = build_harper(HarperParams(0.3, 0.30, 1, 6, 0))
 
 
+def real_matrix(spec, k, doubled):
+    """R = Re H + (Im H) P at one k from the package's builder, P about centre doubled/2."""
+    h = _bloch_stack(np.array([spec.onsite]), np.array(spec.hopping), np.array([k]))[0, 0]
+    return h.real + h.imag[:, (doubled - 2 - np.arange(spec.q)) % spec.q]
+
+
 def real_route_eigenvalues(spec, k):
     """Eigenvalues of the real matrix R at one k, solved alone."""
-    doubled = int(2 * check_pt_symmetry(spec).center)
-    r = _real_bloch(np.array([spec.onsite]), np.array(spec.hopping), np.array([k]), doubled)
-    return eig_complex(r[0, 0])
+    return eig_complex(real_matrix(spec, k, int(2 * check_pt_symmetry(spec).center)))
 
 
 # ---------------------------------------------------------------------------
@@ -50,11 +54,12 @@ def test_single_site_scalar_form():
 
 
 def test_two_site_corner_merges_into_offdiagonal():
+    # the closing bond 2 -> 1 lands on the same entries as bond 1 -> 2
     spec = SuperlatticeSpec((0.1, -0.2), (1.0, 0.7))
     k = 0.3
     m = bloch_matrix(spec, k)
-    assert abs(m[0, 1] - (-1.0 - 0.7 * np.exp(-2j * k))) < 1e-14
-    assert abs(m[1, 0] - (-1.0 - 0.7 * np.exp(+2j * k))) < 1e-14
+    assert abs(m[0, 1] - (-1.0 * np.exp(1j * k) - 0.7 * np.exp(-1j * k))) < 1e-14
+    assert abs(m[1, 0] - (-1.0 * np.exp(-1j * k) - 0.7 * np.exp(1j * k))) < 1e-14
 
 
 def test_three_site_zone_center_is_real_symmetric():
@@ -65,9 +70,12 @@ def test_three_site_zone_center_is_real_symmetric():
 
 
 def test_k_wrapping_changes_nothing():
-    spec = UNBROKEN
-    k = -math.pi / 6 + 0.05
-    assert np.allclose(bloch_matrix(spec, k), bloch_matrix(spec, k + 2 * math.pi / 6))
+    # k + 2 pi / q conjugates H by a diagonal unitary: the spectrum repeats
+    for spec in (UNBROKEN, BROKEN):
+        for k in (-math.pi / 6 + 0.05, 0.4):
+            here = eig_complex(bloch_matrix(spec, k))
+            there = eig_complex(bloch_matrix(spec, k + 2 * math.pi / 6))
+            assert multiset_distance(here, there) <= 1e-12
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 6])
@@ -89,13 +97,22 @@ def test_bloch_eigenvalues_satisfy_transfer_dispersion():
 
 
 def _uniform_gauge(spec, k):
-    # bond n -> n+1 carries -kappa_n exp(ik); bloch_matrix conjugated by diag(exp(ikn))
+    # bond n -> n+1 carries -kappa_n exp(ik), bond n+1 -> n its conjugate
     q = spec.q
     h = np.diag(np.asarray(spec.onsite, dtype=complex))
     for n in range(q):
         h[n, (n + 1) % q] += -spec.hopping[n] * np.exp(1j * k)
         h[(n + 1) % q, n] += -spec.hopping[n] * np.exp(-1j * k)
     return h
+
+
+def test_bloch_matrix_matches_uniform_gauge_reference():
+    rng = np.random.default_rng(9)
+    for q in list(range(1, 10)) * 10:
+        onsite = rng.normal(size=q) + 1j * rng.normal(size=q)
+        spec = SuperlatticeSpec(tuple(onsite), tuple(rng.uniform(0.5, 1.5, size=q)))
+        k = rng.uniform(-math.pi, math.pi)
+        assert np.max(np.abs(bloch_matrix(spec, k) - _uniform_gauge(spec, k))) <= 1e-15
 
 
 def test_real_matrix_is_unitarily_similar_and_matches_complex_route():
@@ -118,7 +135,7 @@ def test_real_matrix_is_unitarily_similar_and_matches_complex_route():
             centres.append(doubled)
             kinds.add((q, doubled % 2))
             unitary = ((1 + 1j) * np.eye(q) + (1 - 1j) * reflect) / 2
-            r = _real_bloch(np.array([spec.onsite]), np.array(spec.hopping), np.array([k]), doubled)[0, 0]
+            r = real_matrix(spec, k, doubled)
             assert r.dtype == float
             assert np.max(np.abs(unitary.conj().T @ h @ unitary - r)) <= 1e-14
             if well_separated:
@@ -138,6 +155,13 @@ def test_lattice_without_centre_takes_complex_route():
     assert values[0].tobytes() == eig_complex(bloch_matrix(spec, ks)).tobytes()
     diagnosis = diagnose_pt_phase(spec, tol=1.0)
     assert diagnosis.unbroken and diagnosis.max_abs_imag > 0
+
+
+def test_hermitian_lattice_without_centre_is_exact():
+    spec = SuperlatticeSpec((0.1, 0.2, 0.5, -0.3), (1.0, 0.7, 1.0, 1.3))
+    assert not check_pt_symmetry(spec).symmetric
+    assert diagnose_pt_phase(spec, guard_points=64).max_abs_imag == 0.0
+    assert band_structure(spec, 64).max_abs_imag == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +233,7 @@ def test_trace_is_sum_of_onsite_energies(spec, k):
     trace = np.trace(bloch_matrix(spec, k))
     expected = sum(spec.onsite)
     if spec.q == 1:
-        expected += -2.0 * spec.hopping[0] * math.cos(k)  # corner lands on the diagonal
+        expected += -2.0 * spec.hopping[0] * math.cos(k)  # the closing bond lands on the diagonal
     assert abs(trace - expected) < 1e-12
 
 
@@ -310,6 +334,13 @@ def test_threshold_against_bisection_bracket():
     assert not diagnose_pt_phase(family.at(result.lambda_c + 1e-4)).unbroken
 
 
+def test_threshold_at_large_delta_approaches_its_limit():
+    # lambda_c -> 2 / sqrt(3) for q = 3 as delta -> infinity; an absolute centre
+    # test sent delta = 1e6 to the complex route and gave 1.0923
+    result = breaking_threshold(harper_family(1e6, 1, 3), lambda_max=2.0)
+    assert abs(result.lambda_c - 2.0 / math.sqrt(3.0)) <= 1e-4
+
+
 def test_hermitian_family_never_breaks():
     family = harper_family(0.5, 1, 3)
     hermitian = type(family)(family.onsite_real, (0.0, 0.0, 0.0), family.hopping)
@@ -330,20 +361,6 @@ def test_threshold_validates_tolerance(tol):
     # a tolerance below float resolution of the bracket used to bisect forever
     with pytest.raises(ValueError, match="tol_lambda must be positive and finite"):
         breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.5, tol_lambda=tol)
-
-
-@pytest.mark.parametrize("samples", [-1, 0, 1])
-def test_threshold_validates_coarse_samples(samples):
-    # a scan of fewer than two strengths cannot bracket a transition
-    with pytest.raises(ValueError, match="coarse_samples must be at least 2"):
-        breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.5, coarse_samples=samples)
-
-
-def test_threshold_two_coarse_samples():
-    result = breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.5, coarse_samples=2)
-    assert result.lambda_c == pytest.approx(
-        breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.5).lambda_c, abs=2e-4
-    )
 
 
 # ---------------------------------------------------------------------------

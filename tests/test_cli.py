@@ -1,14 +1,23 @@
+import csv
 import io
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptsl.cli as cli
+from conftest import pt_specs
 from ptsl import NumericsError
 
 
@@ -172,6 +181,12 @@ def test_tolerance_below_float_spacing_terminates(command, tmp_path):
     assert done.returncode == 0, done.stderr
     _, rows = read_csv(tmp_path / "out.csv")
     assert abs(float(rows[0][1]) - 0.2552) < 2e-3
+
+
+def test_threshold_huge_delta_is_unbroken_at_zero(capsys):
+    # used to exit 2 with "family is already broken at lambda = 0"
+    assert run("threshold", "--delta", "1e300", "--q", "3", "--lambda-max", "1") == 0
+    assert "no symmetry breaking up to lambda_max = 1.0" in capsys.readouterr().out
 
 
 def test_threshold_empty_range(tmp_path, capsys):
@@ -349,7 +364,7 @@ def test_sweep_q_range(tmp_path):
     assert all(float(r[1]) < 0.3 for r in rows)
 
 
-def test_sweep_p_range_with_threads(tmp_path):
+def test_sweep_p_range(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run(
         "sweep", "--delta", "0.3", "--p-range", "1:2", "--q", "5", "--lambda-max", "0.5",
@@ -387,3 +402,121 @@ def test_sweep_usage_errors(tmp_path):
             "--out", str(tmp_path / "x.csv"),
         )
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# generated argument vectors
+# ---------------------------------------------------------------------------
+
+
+class _Overrun(BaseException):
+    """Raised by the alarm; not an Exception, so the CLI cannot catch it."""
+
+
+def _overrun(signum, frame):
+    raise _Overrun
+
+
+@st.composite
+def _harper_flags(draw) -> list[str]:
+    return [
+        "--delta", repr(draw(st.floats(0.0, 1e6))),
+        "--p", str(draw(st.one_of(st.just(1), st.integers(1, 12)))),
+        "--q", str(draw(st.integers(1, 12))),
+        "--n0", str(draw(st.integers())),
+    ]
+
+
+@st.composite
+def _lattice_json(draw) -> dict:
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    kind = draw(st.sampled_from(["centred", "free", "hermitian"]))
+    if kind == "centred":
+        spec = draw(pt_specs(min_q=1, max_q=8))
+        onsite, hopping = spec.onsite, spec.hopping
+    else:
+        q = draw(st.integers(1, 8))
+        part = st.floats(-1.0, 1.0)
+        onsite = [complex(draw(part), 0.0 if kind == "hermitian" else draw(part)) for _ in range(q)]
+        hopping = [draw(st.floats(0.5, 1.5)) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(q)]
+    return {
+        "q": len(onsite),
+        "onsite": [[scale * v.real, scale * v.imag] for v in onsite],
+        "hopping": [scale * k for k in hopping],
+    }
+
+
+@st.composite
+def _argv(draw, workdir: Path) -> list[str]:
+    command = draw(st.sampled_from(["bands", "threshold", "sweep"]))
+    lambda_max = ["--lambda-max", repr(draw(st.floats(1e-3, 10.0)))]
+    if command == "sweep":
+        lo = draw(st.integers(1, 12))
+        span = f"{lo}:{min(12, lo + draw(st.integers(0, 2)))}"
+        flags = draw(_harper_flags())
+        param = draw(st.sampled_from(["--q-range", "--p-range"]))
+        return [
+            "sweep", *flags, param, span, *lambda_max, "--kpoints", str(draw(st.integers(2, 64))),
+            "--sigma-lambda", repr(draw(st.floats(0.0, 10.0))), "--out", str(workdir / "sweep.csv"),
+        ]
+    if draw(st.booleans()):
+        lattice = workdir / "lattice.json"
+        lattice.write_text(json.dumps(draw(_lattice_json())))
+        source = ["--lattice", str(lattice)]
+    else:
+        source = draw(_harper_flags())
+        if command == "bands":
+            source = ["--harper", *source, "--lambda", repr(draw(st.floats(0.0, 10.0)))]
+    if command == "bands":
+        return ["bands", *source, "--kpoints", str(draw(st.integers(2, 64))), "--out", str(workdir / "bands.csv")]
+    out = ["--out", str(workdir / "threshold.json")]
+    if "--lattice" not in source and draw(st.booleans()):
+        out = ["--q-range", f"1:{draw(st.integers(1, 12))}", "--out", str(workdir / "threshold.csv")]
+    return ["threshold", *source, *lambda_max, *out]
+
+
+def _finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _assert_finite_outputs(workdir: Path) -> None:
+    for table in workdir.glob("*.csv"):
+        with table.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        for row in rows:
+            for name, field in zip(header, row):
+                value = float(field)
+                assert math.isfinite(value) or (name == "lambda_c" and value == math.inf), (table, row)
+    for record in workdir.glob("*.json"):
+        if record.name != "lattice.json":
+            assert _finite(json.loads(record.read_text())), record
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_generated_commands_end_cleanly(data):
+    # every argument vector ends within 20 s with exit 0, 1 or 2, and a
+    # successful run writes no nan or inf (lambda_c = inf marks a never-broken row)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        argv = data.draw(_argv(workdir))
+        previous = signal.signal(signal.SIGALRM, _overrun)
+        signal.alarm(20)
+        try:
+            with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                warnings.simplefilter("ignore")  # several transitions in one scan
+                code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        except _Overrun:
+            pytest.fail(f"ptsl {' '.join(argv)} ran for more than 20 s")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            _assert_finite_outputs(workdir)

@@ -50,6 +50,14 @@ def test_candidate_matrix_contains_printed_edge_energy():
     assert min(abs(v - (1.7058 + 0.0712j)) for v in values) < 5e-4
 
 
+def test_real_candidate_matrix_takes_real_solver():
+    # real V_1..V_{q-1}: the complex-typed matrix still reaches the real solver
+    spec = SuperlatticeSpec((0.1, -0.2, 0.3, 0.5j), (1.0, 0.7, 1.0, 1.3))
+    m = edge_candidate_matrix(spec)
+    assert m.dtype == complex
+    assert eig_complex(m).tobytes() == np.linalg.eigvals(m.real).astype(complex).tobytes()
+
+
 def test_candidate_matrix_needs_two_sites():
     with pytest.raises(ValueError):
         edge_candidate_matrix(SuperlatticeSpec((0.0,), (1.0,)))

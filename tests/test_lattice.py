@@ -78,6 +78,15 @@ def test_harper_periodic_extension_over_two_periods(params):
     assert all(k == 1.0 for k in spec.hopping)
 
 
+def test_harper_anchor_counts_modulo_the_period():
+    # an anchor beyond the int64 range used to raise OverflowError, and one
+    # near 1e18 lost the phase to rounding
+    for n0 in range(6):
+        family = harper_family(0.3, 1, 6, n0)
+        for shift in (-6, 6 * 10**17, 6 * 10**20):
+            assert harper_family(0.3, 1, 6, n0 + shift) == family
+
+
 def test_family_instantiation_matches_direct_builder():
     family = harper_family(0.3, 1, 6, n0=2)
     direct = build_harper(HarperParams(delta=0.3, lam=0.134, p=1, q=6, n0=2))
@@ -147,6 +156,27 @@ def test_smallest_center_reported():
     # uniform real lattice is symmetric about every center; 0 is the smallest
     report = check_pt_symmetry(SuperlatticeSpec((0.5, 0.5), (1.0, 1.0)))
     assert report.center == 0.0
+
+
+@pytest.mark.parametrize("delta", [1e4, 1e6, 1e12])
+def test_large_amplitude_harper_lattices_keep_their_centre(delta):
+    # an absolute 1e-12 found no centre at delta = 1e4: the cosines round at 1e-12
+    for q in range(3, 21):
+        for p in (1, 2):
+            if math.gcd(p, q) != 1:
+                continue
+            for n0 in range(q):
+                family = harper_family(delta, p, q, n0)
+                for lam in (0.0, 1.0, delta):
+                    assert check_pt_symmetry(family.at(lam)).symmetric, (p, q, n0, lam)
+
+
+def test_tiny_lattice_without_centre_finds_none():
+    # an absolute 1e-12 took every difference of this lattice for rounding
+    scale = 1e-12
+    spec = SuperlatticeSpec((0.1 * scale, (0.2 + 1e-3j) * scale, 0.5 * scale), (scale,) * 3)
+    assert not check_pt_symmetry(spec).symmetric
+    assert check_pt_symmetry(SuperlatticeSpec((0.1 * scale, 0.1 * scale), (scale,) * 2)).symmetric
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,8 @@ def _cmd_threshold(args, parser) -> int:
     if args.lambda_max <= 0:
         parser.error("--lambda-max must be positive")
     if args.q_range is not None:
+        if args.lattice:
+            parser.error("--q-range sweeps the Harper family; it cannot be combined with --lattice")
         qs = _parse_range(args.q_range, parser)
         if args.delta is None:
             parser.error("sweeping q needs --delta")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bloch import REALITY_TOL, diagnose_pt_phase
 from .lattice import SuperlatticeSpec
-from .numerics import eig_complex, poly_roots
+from .numerics import NumericsError, eig_complex, poly_roots
 from .transfer import period_matrix, site_matrix, symbolic_period_matrix
 
 __all__ = [
@@ -58,7 +58,7 @@ class EdgeStateRecord:
     period: int
 
 
-class RouteMismatchError(RuntimeError):
+class RouteMismatchError(NumericsError):
     """The two candidate routes disagree; carries both multisets."""
 
     def __init__(self, matrix_route: np.ndarray, polynomial_route: np.ndarray, worst: float):
@@ -83,24 +83,67 @@ def edge_candidate_matrix(spec: SuperlatticeSpec) -> np.ndarray:
     return m
 
 
-def _match_multisets(a: np.ndarray, b: np.ndarray, tol: float) -> float:
-    """Best pairing distance between two equal-size complex multisets.
+def _perfect_matching(adjacent: np.ndarray) -> list[int] | None:
+    """Row paired with each column, or None if no one-to-one pairing exists.
 
-    Raises :class:`RouteMismatchError` when the optimal assignment leaves any
-    pair further apart than ``tol``.
+    Kuhn's augmenting paths on the square boolean matrix ``adjacent``: each
+    row takes a free adjacent column, or one whose owner can move to
+    another.  When every row has a single adjacent column no path is ever
+    searched, and the work is one pass over the rows.
+    """
+    neighbours: list[list[int]] = [[] for _ in adjacent]
+    for row, col in zip(*(index.tolist() for index in np.nonzero(adjacent))):
+        neighbours[row].append(col)
+    owner = [-1] * len(adjacent)
+
+    def augment(row: int, seen: set[int]) -> bool:
+        for col in neighbours[row]:
+            if col not in seen:
+                seen.add(col)
+                if owner[col] < 0 or augment(owner[col], seen):
+                    owner[col] = row
+                    return True
+        return False
+
+    if not all(augment(row, set()) for row in range(len(adjacent))):
+        return None
+    return owner
+
+
+def _bottleneck(cost: np.ndarray) -> float:
+    """Least d at which a one-to-one pairing with every ``cost <= d`` exists."""
+    levels = np.unique(cost)
+    lo, hi = 0, len(levels) - 1  # the largest distance admits every pairing
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _perfect_matching(cost <= levels[mid]) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return float(levels[lo])
+
+
+def _match_multisets(a: np.ndarray, b: np.ndarray, tol: float) -> float:
+    """Pair two complex multisets one-to-one within ``tol``; worst distance.
+
+    Raises :class:`RouteMismatchError` iff no one-to-one pairing keeps every
+    pair within ``tol`` (sizes that differ report distance inf; otherwise
+    the error names the bottleneck distance, the least d at which a pairing
+    exists).  Returns the largest distance of the pairing found.  When each
+    element of ``a`` has exactly one partner within ``tol`` that pairing is
+    the only one within ``tol``: any other differs from it only in pairs
+    longer than ``tol``, so it is also the min-sum assignment whenever that
+    assignment passes, and the returned distance is the same.
     """
     if len(a) != len(b):
         raise RouteMismatchError(a, b, math.inf)
     if len(a) == 0:
         return 0.0
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    worst = float(cost[rows, cols].max())
-    if worst > tol:
-        raise RouteMismatchError(a, b, worst)
-    return worst
+    rows = _perfect_matching(cost <= tol)
+    if rows is None:
+        raise RouteMismatchError(a, b, _bottleneck(cost))
+    return float(cost[rows, np.arange(len(b))].max())
 
 
 def edge_spectrum(

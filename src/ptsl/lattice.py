@@ -194,8 +194,11 @@ def _doubled_centres(onsite: np.ndarray, hopping, tol: float = 1e-12) -> np.ndar
     limit = tol * np.maximum(np.abs(onsite).max(axis=-1), np.abs(hopping).max())[:, None, None]
     doubled = np.arange(2 * q)
     partner = (doubled[:, None] - 2 - np.arange(q)) % q
-    bonds_ok = np.all(np.abs(hopping[(partner - 1) % q] - hopping) <= limit, axis=-1)
-    sites_ok = np.all(np.abs(onsite[:, partner] - onsite.conj()[:, None, :]) <= limit, axis=-1)
+    # near the float limit a difference may overflow to inf; inf exceeds
+    # every limit, which is the right verdict, so the warning is noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        bonds_ok = np.all(np.abs(hopping[(partner - 1) % q] - hopping) <= limit, axis=-1)
+        sites_ok = np.all(np.abs(onsite[:, partner] - onsite.conj()[:, None, :]) <= limit, axis=-1)
     ok = sites_ok & bonds_ok
     return np.where(ok.any(axis=-1), np.argmax(ok, axis=-1), -1)
 

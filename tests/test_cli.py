@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptsl.cli as cli
+import ptsl.edge as edge
 from conftest import pt_specs
 from ptsl import NumericsError
 
@@ -78,6 +79,21 @@ def test_bands_invalid_lattice_file(tmp_path):
     assert run("bands", "--lattice", str(bad), "--out", str(tmp_path / "x.csv")) == 2
     missing = tmp_path / "missing.json"
     assert run("bands", "--lattice", str(missing), "--out", str(tmp_path / "x.csv")) == 2
+
+
+def test_bands_near_float_limit_prints_no_warning(tmp_path):
+    # the centre test's partner differences overflow; this used to print
+    # "RuntimeWarning: overflow encountered in subtract" and exit 0
+    lattice = tmp_path / "huge.json"
+    lattice.write_text(json.dumps({"q": 2, "onsite": [[1e308, 1e308], [1e308, -1e308]], "hopping": [1.0, 1.0]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "ptsl.cli", "bands", "--lattice", str(lattice), "--kpoints", "8",
+         "--out", str(tmp_path / "b.csv")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 def test_bands_outputs_are_deterministic(tmp_path):
@@ -211,6 +227,18 @@ def test_threshold_q_sweep_writes_never_broken_rows(tmp_path):
     assert rows[2][1] == "inf"  # q=6 stays unbroken up to lambda_c = 0.255
 
 
+def test_threshold_q_range_rejects_lattice(tmp_path, capsys):
+    # used to ignore the file and write the Harper rows of --delta (0.2553 at q = 6)
+    lattice = tmp_path / "hermitian.json"
+    lattice.write_text(json.dumps({"q": 3, "onsite": [[0.1, 0.0], [0.2, 0.0], [0.5, 0.0]], "hopping": [1.0, 1.0, 1.0]}))
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as info:
+        run("threshold", "--lattice", str(lattice), "--delta", "0.3", "--q-range", "6:6", "--out", str(out))
+    assert info.value.code == 2
+    assert "--q-range sweeps the Harper family; it cannot be combined with --lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threshold_harper_file_missing_field(tmp_path, capsys):
     lattice = tmp_path / "h.json"
     lattice.write_text(json.dumps({"harper": {"delta": 0.3, "q": 6}}))
@@ -256,6 +284,18 @@ def test_edges_single_site_lattice(tmp_path, capsys):
     assert run("edges", "--lattice", str(lattice)) == 0
     printed = capsys.readouterr().out
     assert "spectrum: real" in printed
+
+
+def test_edges_route_mismatch_is_a_numerical_failure(monkeypatch, tmp_path, capsys):
+    # RouteMismatchError used to escape main as a traceback
+    roots = edge.poly_roots
+    monkeypatch.setattr(edge, "poly_roots", lambda coeffs: roots(coeffs) + 0.1)
+    out = tmp_path / "edges.csv"
+    assert run("edges", *HARPER_FLAGS, "--n0", "1", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: candidate energies from the tridiagonal matrix")
+    assert "disagree (worst pairing distance 1.000e-01)" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +363,34 @@ def test_evolve_intensity_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "x.summary.json").exists()
 
 
-def test_import_loads_no_scipy_submodules():
-    # bands, threshold and sweep need only numpy; edges and evolve import
-    # scipy.optimize and scipy.sparse where they use them
+def _imported_modules(argv, cwd: Path) -> list[str]:
+    """Every module a fresh ``python -m ptsl.cli *argv`` imports, in order."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import json, sys, ptsl.cli; print(json.dumps([m for m in sys.modules if m.startswith('scipy.')]))"
     done = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-X", "importtime", "-m", "ptsl.cli", *argv], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
-    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))], loaded
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return [line.rsplit("|", 1)[-1].strip() for line in lines]
+
+
+def test_import_loads_no_scipy_submodules(tmp_path):
+    # bands, threshold, sweep and edges run on numpy alone; only evolve
+    # imports scipy (scipy.sparse), inside the functions that use it
+    commands = [
+        ["bands", *HARPER_FLAGS, "--kpoints", "8", "--out", "bands.csv"],
+        ["threshold", "--delta", "0.3", "--q", "4", "--lambda-max", "0.5", "--tol", "1e-2"],
+        ["sweep", "--delta", "0.3", "--q-range", "3:4", "--lambda-max", "0.5", "--tol", "1e-2",
+         "--kpoints", "8", "--out", "sweep.csv"],
+        ["edges", *HARPER_FLAGS, "--n0", "1", "--out", "edges.csv"],
+    ]
+    for argv in commands:
+        imported = _imported_modules(argv, tmp_path)
+        assert "numpy" in imported and "ptsl.edge" in imported, argv
+        assert not [m for m in imported if m.startswith("scipy")], argv
+    evolve = ["evolve", *HARPER_FLAGS, "--tmax", "1", "--sites", "12", "--samples", "4", "--out", "x.csv"]
+    assert "scipy.sparse" in _imported_modules(evolve, tmp_path)
 
 
 def test_evolve_rejects_bad_window(tmp_path):
@@ -448,7 +504,7 @@ def _lattice_json(draw) -> dict:
 
 @st.composite
 def _argv(draw, workdir: Path) -> list[str]:
-    command = draw(st.sampled_from(["bands", "threshold", "sweep"]))
+    command = draw(st.sampled_from(["bands", "threshold", "sweep", "edges"]))
     lambda_max = ["--lambda-max", repr(draw(st.floats(1e-3, 10.0)))]
     if command == "sweep":
         lo = draw(st.integers(1, 12))
@@ -465,10 +521,12 @@ def _argv(draw, workdir: Path) -> list[str]:
         source = ["--lattice", str(lattice)]
     else:
         source = draw(_harper_flags())
-        if command == "bands":
+        if command != "threshold":
             source = ["--harper", *source, "--lambda", repr(draw(st.floats(0.0, 10.0)))]
     if command == "bands":
         return ["bands", *source, "--kpoints", str(draw(st.integers(2, 64))), "--out", str(workdir / "bands.csv")]
+    if command == "edges":
+        return ["edges", *source, "--out", str(workdir / "edges.csv")]
     out = ["--out", str(workdir / "threshold.json")]
     if "--lattice" not in source and draw(st.booleans()):
         out = ["--q-range", f"1:{draw(st.integers(1, 12))}", "--out", str(workdir / "threshold.csv")]
@@ -489,6 +547,8 @@ def _assert_finite_outputs(workdir: Path) -> None:
             header, *rows = list(csv.reader(fh))
         for row in rows:
             for name, field in zip(header, row):
+                if name == "class" or (name == "loc_length" and field == ""):
+                    continue  # an edges CSV: text, and no length for non-edge rows
                 value = float(field)
                 assert math.isfinite(value) or (name == "lambda_c" and value == math.inf), (table, row)
     for record in workdir.glob("*.json"):
@@ -497,7 +557,7 @@ def _assert_finite_outputs(workdir: Path) -> None:
 
 
 @given(st.data())
-@settings(max_examples=300)
+@settings(max_examples=400)
 def test_generated_commands_end_cleanly(data):
     # every argument vector ends within 20 s with exit 0, 1 or 2, and a
     # successful run writes no nan or inf (lambda_c = inf marks a never-broken row)

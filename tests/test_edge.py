@@ -19,7 +19,7 @@ from ptsl import (
     psi_witness,
     spectrum_reality,
 )
-from ptsl.edge import _match_multisets
+from ptsl.edge import _match_multisets, _perfect_matching
 
 
 def harper(n0: int, lam: float = 0.134) -> "SuperlatticeSpec":
@@ -117,6 +117,48 @@ def test_route_mismatch_diagnostic_carries_both_multisets():
     assert np.allclose(info.value.matrix_route, a)
     assert np.allclose(info.value.polynomial_route, b)
     assert "disagree" in str(info.value)
+
+
+def test_pairing_follows_an_augmenting_path():
+    # a0 is within tol of b0 and b1, a1 of b0 only: a0 must give b0 up
+    a = np.array([0.5, -0.75], dtype=complex)
+    b = np.array([0.0, 1.0], dtype=complex)
+    assert _perfect_matching(np.abs(a[:, None] - b[None, :]) <= 1.0) == [1, 0]
+    assert _match_multisets(a, b, tol=1.0) == 0.75
+    assert multiset_distance(a, b) == 0.75
+
+
+def test_pairing_accepts_what_a_min_sum_assignment_rejects():
+    # every pair of (a0 b1, a1 b2, a2 b0) is within tol = 1, but the
+    # assignment of least total distance pairs a0 with b0 at 1.044
+    a = np.array([0.0, 0.95, 0.95 + 0.95j])
+    b = np.array([0.3 + 1.0j, 0.95, 0.95 + 0.95j])
+    assert multiset_distance(a, b) > 1.0
+    assert _match_multisets(a, b, tol=1.0) == 0.95
+
+
+def test_pairing_respects_multiplicity():
+    # every point has a partner within tol, but 0 occurs twice in a and once in b
+    a = np.array([0.0, 0.0, 1.0], dtype=complex)
+    b = np.array([0.0, 1.0, 1.0], dtype=complex)
+    with pytest.raises(RouteMismatchError, match=r"worst pairing distance 1\.000e\+00"):
+        _match_multisets(a, b, tol=1e-6)
+
+
+def test_pairing_size_mismatch_and_empty():
+    with pytest.raises(RouteMismatchError, match="worst pairing distance inf"):
+        _match_multisets(np.zeros(1, dtype=complex), np.zeros(2, dtype=complex), tol=1e-6)
+    assert _match_multisets(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex), tol=1e-6) == 0.0
+
+
+def test_pairing_of_separated_sets_matches_optimal_assignment():
+    rng = np.random.default_rng(11)
+    for n in range(1, 40):
+        grid = rng.choice(400, size=n, replace=False)
+        a = 0.1 * (grid % 20) + 0.1j * (grid // 20)
+        noise = 1e-9 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        b = a[rng.permutation(n)] + noise
+        assert _match_multisets(a, b, tol=1e-6) == multiset_distance(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given
@@ -177,6 +178,15 @@ def test_tiny_lattice_without_centre_finds_none():
     spec = SuperlatticeSpec((0.1 * scale, (0.2 + 1e-3j) * scale, 0.5 * scale), (scale,) * 3)
     assert not check_pt_symmetry(spec).symmetric
     assert check_pt_symmetry(SuperlatticeSpec((0.1 * scale, 0.1 * scale), (scale,) * 2)).symmetric
+
+
+def test_centre_test_near_float_limit_warns_nothing():
+    # the partner differences overflow to inf, which exceeds every limit;
+    # this used to warn "overflow encountered in subtract"
+    spec = SuperlatticeSpec((1e308 + 1e308j, 1e308 - 1e308j), (1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_pt_symmetry(spec).center == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -1,38 +1,27 @@
 #!/usr/bin/env python3
 """Band diagrams of the q=6 sinusoidal superlattice below and at threshold.
 
-Writes one CSV per non-Hermitian strength (hermitian, below threshold, and at
-the numerically located breaking point) plus a gap summary to stdout.  Plot
-re_E against k per band_index to reproduce the band-and-gap pictures.
+Runs ``ptsl threshold`` to locate the breaking point, then ``ptsl bands`` at
+the hermitian point, below threshold and at the located threshold; each
+command prints its gap summary and writes its data file with a manifest.
+Plot re_E against k per band_index to reproduce the band-and-gap pictures.
 """
 
 import argparse
+import json
+import sys
 from pathlib import Path
 
-from ptsl import (
-    HarperParams,
-    band_gaps,
-    band_structure,
-    breaking_threshold,
-    build_harper,
-    harper_family,
-)
+from ptsl.cli import main as ptsl
 
-DELTA, P, Q = 0.3, 1, 6
+HARPER = ["--delta", "0.3", "--q", "6"]
 
 
-def write_bands(path: Path, lam: float, kpoints: int) -> None:
-    spec = build_harper(HarperParams(DELTA, lam, P, Q, 0))
-    bands = band_structure(spec, kpoints)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("k,band_index,re_E,im_E\n")
-        for k, row in zip(bands.k_values, bands.energies):
-            for idx, energy in enumerate(row):
-                fh.write(f"{k:.17g},{idx},{energy.real:.17g},{energy.imag:.17g}\n")
-    gaps = band_gaps(bands)
-    print(f"lambda = {lam:.4f}: max |Im E| = {bands.max_abs_imag:.2e}, {len(gaps)} gaps")
-    for lo, hi in gaps:
-        print(f"    [{lo:+.4f}, {hi:+.4f}]  width {hi - lo:.4f}")
+def run(*argv) -> None:
+    """Run one ``ptsl`` command; a non-zero exit code ends the script with it."""
+    code = ptsl([str(a) for a in argv])
+    if code:
+        sys.exit(code)
 
 
 def main() -> None:
@@ -42,10 +31,12 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    lam_c = breaking_threshold(harper_family(DELTA, P, Q), 0.5, tol_lambda=1e-5).lambda_c
-    print(f"breaking threshold lambda_c = {lam_c:.5f}")
-    for tag, lam in (("hermitian", 0.0), ("below", 0.134), ("critical", lam_c)):
-        write_bands(args.outdir / f"bands_q6_{tag}.csv", lam, args.kpoints)
+    threshold = args.outdir / "threshold_q6.json"
+    run("threshold", *HARPER, "--lambda-max", "0.5", "--tol", "1e-5", "--out", threshold)
+    lam_c = json.loads(threshold.read_text(encoding="utf-8"))["lambda_c"]
+    for tag, lam in (("hermitian", "0"), ("below", "0.134"), ("critical", repr(lam_c))):
+        out = args.outdir / f"bands_q6_{tag}.csv"
+        run("bands", "--harper", *HARPER, "--lambda", lam, "--kpoints", args.kpoints, "--out", out)
 
 
 if __name__ == "__main__":

@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
 """Single-site excitation dynamics of the truncated q=6 superlattice.
 
-Propagates a left-boundary excitation for four anchor choices: no edge states
-(n0 = 0, plain discrete diffraction), one amplified edge state (n0 = 1), four
-edge states (n0 = 2) and one damped edge state (n0 = 4).  Writes t/site
-intensity maps and prints both growth-rate estimators per run.
+Propagates a left-boundary excitation with ``ptsl evolve`` for four anchor
+choices: no edge states (n0 = 0, plain discrete diffraction), one amplified
+edge state (n0 = 1), four edge states (n0 = 2) and one damped edge state
+(n0 = 4).  Each command writes a t/site intensity map with its summary and
+manifest, and prints both growth-rate estimators.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from ptsl import (
-    HarperParams,
-    boundary_growth_rate,
-    build_harper,
-    growth_rate_estimate,
-    propagate,
-    single_site_excitation,
-)
+from ptsl.cli import main as ptsl
 
-DELTA, P, Q, LAM = 0.3, 1, 6, 0.134
+HARPER = ["--harper", "--delta", "0.3", "--lambda", "0.134", "--q", "6"]
+
+
+def run(*argv) -> None:
+    """Run one ``ptsl`` command; a non-zero exit code ends the script with it."""
+    code = ptsl([str(a) for a in argv])
+    if code:
+        sys.exit(code)
 
 
 def main() -> None:
@@ -31,22 +33,11 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    window = (args.tmax / 2.0, args.tmax)
     for n0 in (0, 1, 2, 4):
-        spec = build_harper(HarperParams(DELTA, LAM, P, Q, n0))
-        result = propagate(
-            spec, single_site_excitation(args.sites), args.tmax, num_samples=args.samples
-        )
-        path = args.outdir / f"intensity_n0_{n0}.csv"
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write("t,site,intensity\n")
-            for t, row in zip(result.sample_times, result.intensities):
-                for site, value in enumerate(row, start=1):
-                    fh.write(f"{t:.17g},{site},{value:.17g}\n")
-        print(
-            f"n0 = {n0}: boundary rate {boundary_growth_rate(result, window):+.4f}, "
-            f"total-norm rate {growth_rate_estimate(result, window):+.4f}, "
-            f"final norm {result.total_norm[-1]:.3f} -> {path}"
+        print(f"n0 = {n0}")
+        run(
+            "evolve", *HARPER, "--n0", n0, "--sites", args.sites, "--tmax", args.tmax,
+            "--samples", args.samples, "--out", args.outdir / f"intensity_n0_{n0}.csv",
         )
 
 

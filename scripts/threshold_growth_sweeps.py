@@ -1,26 +1,28 @@
 #!/usr/bin/env python3
 """Threshold and growth-rate sweeps of the sinusoidal superlattice family.
 
-Two sweeps: lambda_c and sigma versus the period q at p = 1, and versus the
-numerator p at fixed prime period q = 19.  The growth rate is evaluated at
-lambda = delta, i.e. above threshold everywhere.
+Two ``ptsl sweep`` commands: lambda_c and sigma versus the period q at p = 1,
+and versus the numerator p at fixed prime period q = 19.  The growth rate is
+evaluated at lambda = delta, i.e. above threshold everywhere.  Prints the
+exponential decay rate of sigma(q) and the spread of sigma over p.
 """
 
 import argparse
-import math
+import sys
 from pathlib import Path
 
-from ptsl import harper_family, sweep
+import numpy as np
 
-DELTA = 0.3
+from ptsl.cli import main as ptsl
+
+SWEEP = ["sweep", "--delta", "0.3", "--lambda-max", "0.5", "--tol", "1e-4", "--kpoints", "512"]
 
 
-def write_rows(path: Path, rows) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("param,lambda_c,sigma\n")
-        for row in rows:
-            fh.write(f"{row.param},{row.lambda_c:.17g},{row.sigma:.17g}\n")
-    print(f"wrote {path}")
+def run(*argv) -> None:
+    """Run one ``ptsl`` command; a non-zero exit code ends the script with it."""
+    code = ptsl([str(a) for a in argv])
+    if code:
+        sys.exit(code)
 
 
 def main() -> None:
@@ -30,35 +32,17 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    q_rows = sweep(
-        lambda q: harper_family(DELTA, 1, q),
-        range(3, args.qmax + 1),
-        lambda_max=0.5,
-        sigma_lambda=DELTA,
-        tol_lambda=1e-4,
-        num_k=512,
-    )
-    write_rows(args.outdir / "sweep_q.csv", q_rows)
-    fit = [(row.param, math.log(row.sigma)) for row in q_rows if row.sigma > 0]
-    n = len(fit)
-    sx = sum(q for q, _ in fit)
-    sy = sum(s for _, s in fit)
-    sxx = sum(q * q for q, _ in fit)
-    sxy = sum(q * s for q, s in fit)
-    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    q_path = args.outdir / "sweep_q.csv"
+    run(*SWEEP, "--q-range", f"3:{args.qmax}", "--out", q_path)
+    q, sigma = np.loadtxt(q_path, delimiter=",", skiprows=1, usecols=(0, 2)).T
+    grows = sigma > 0
+    slope = np.polyfit(q[grows], np.log(sigma[grows]), 1)[0]
     print(f"sigma(q) exponential decay rate over q=3..{args.qmax}: {-slope:.3f}")
 
-    p_rows = sweep(
-        lambda p: harper_family(DELTA, p, 19),
-        range(1, 19),
-        lambda_max=0.5,
-        sigma_lambda=DELTA,
-        tol_lambda=1e-4,
-        num_k=512,
-    )
-    write_rows(args.outdir / "sweep_p_q19.csv", p_rows)
-    sigmas = [row.sigma for row in p_rows]
-    print(f"sigma over p at q=19: max/min = {max(sigmas) / min(sigmas):.3f}")
+    p_path = args.outdir / "sweep_p_q19.csv"
+    run(*SWEEP, "--p-range", "1:18", "--q", "19", "--out", p_path)
+    sigma = np.loadtxt(p_path, delimiter=",", skiprows=1, usecols=2)
+    print(f"sigma over p at q=19: max/min = {sigma.max() / sigma.min():.3f}")
 
 
 if __name__ == "__main__":

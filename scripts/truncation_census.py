@@ -2,17 +2,27 @@
 """Edge-state census of the left-truncated q=6 superlattice, anchor by anchor.
 
 For each anchor n0 the lattice is cut at a different position of the period;
-the census lists all q-1 candidate energies with |s11| and classification,
-plus the overall spectrum verdict.  Also sweeps the non-Hermitian strength
-for the anchors that host edge states, tracing their complex energies.
+``ptsl edges`` lists all q-1 candidate energies with |s11| and classification,
+plus the overall spectrum verdict, and writes them to one CSV per anchor.
+Also sweeps the non-Hermitian strength for the anchors that host edge states,
+tracing their complex energies.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from ptsl import Classification, HarperParams, build_harper, edge_spectrum, spectrum_reality
+from ptsl import Classification, HarperParams, build_harper, edge_spectrum
+from ptsl.cli import main as ptsl
 
 DELTA, P, Q, LAM = 0.3, 1, 6, 0.134
+
+
+def run(*argv) -> None:
+    """Run one ``ptsl`` command; a non-zero exit code ends the script with it."""
+    code = ptsl([str(a) for a in argv])
+    if code:
+        sys.exit(code)
 
 
 def main() -> None:
@@ -21,26 +31,14 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    census_path = args.outdir / "census_q6.csv"
-    with census_path.open("w", encoding="utf-8") as fh:
-        fh.write("n0,re_E,im_E,abs_S11,class,loc_length\n")
-        for n0 in range(Q):
-            spec = build_harper(HarperParams(DELTA, LAM, P, Q, n0))
-            records = edge_spectrum(spec)
-            verdict = "real" if spectrum_reality(spec, records=records).real else "complex"
-            print(f"n0 = {n0}  (spectrum {verdict})")
-            for r in records:
-                length = f"{r.localization_length:.17g}" if r.localization_length else ""
-                fh.write(
-                    f"{n0},{r.energy.real:.17g},{r.energy.imag:.17g},"
-                    f"{r.s11_abs:.17g},{r.classification.value},{length}\n"
-                )
-                print(
-                    f"    E = {r.energy.real:+.4f}{r.energy.imag:+.4f}i   "
-                    f"|s11| = {r.s11_abs:.4f}   {r.classification.value}"
-                )
-    print(f"wrote {census_path}")
+    for n0 in range(Q):
+        print(f"n0 = {n0}")
+        run(
+            "edges", "--harper", "--delta", DELTA, "--lambda", LAM, "--p", P, "--q", Q,
+            "--n0", n0, "--out", args.outdir / f"edges_q6_n0_{n0}.csv",
+        )
 
+    # no command writes this trace, so it stays on the library
     trace_path = args.outdir / "edge_energies_vs_lambda.csv"
     with trace_path.open("w", encoding="utf-8") as fh:
         fh.write("n0,lambda,re_E,im_E,abs_S11\n")

@@ -62,6 +62,8 @@ _CHUNK_BYTES = 128 * 1024
 # max |Im E| below which a non-Hermitian lattice without a parity centre
 # counts as real; every other spectrum is exact and needs no tolerance
 REALITY_TOL = 1e-9
+# band ranges closer than this are not reported as separated by a gap
+_MIN_GAP_WIDTH = 1e-9
 
 
 def _bloch_stack(onsite: np.ndarray, hopping, ks: np.ndarray) -> np.ndarray:
@@ -189,11 +191,11 @@ def band_structure(spec: SuperlatticeSpec, num_k: int) -> BandStructure:
     return BandStructure(k_values=ks, energies=energies)
 
 
-def band_gaps(bands: BandStructure, min_width: float = 1e-9) -> list[tuple[float, float]]:
+def band_gaps(bands: BandStructure) -> list[tuple[float, float]]:
     """Gaps between consecutive band ranges on the real-energy axis.
 
     Band n occupies [min_k Re E_n(k), max_k Re E_n(k)] under the per-k (Re,
-    Im) sort; a gap is an interval wider than ``min_width`` separating two
+    Im) sort; a gap is an interval wider than 1e-9 separating two
     consecutive bands.  Meaningful for real (unbroken-phase) spectra.
     """
     real = bands.energies.real
@@ -201,7 +203,7 @@ def band_gaps(bands: BandStructure, min_width: float = 1e-9) -> list[tuple[float
     hi = real.max(axis=0)
     gaps = []
     for n in range(bands.q - 1):
-        if lo[n + 1] - hi[n] > min_width:
+        if lo[n + 1] - hi[n] > _MIN_GAP_WIDTH:
             gaps.append((float(hi[n]), float(lo[n + 1])))
     return gaps
 

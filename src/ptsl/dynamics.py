@@ -39,6 +39,9 @@ __all__ = [
 
 # a wavefront entering the last period signals boundary contamination
 _BOUNDARY_FRACTION = 1e-6
+# limits on ||H||_1 * t_max: expm_multiply's step count grows with it, and
+# below 2^-52 the state rounds to psi0 and the step count to 0
+_NORM_TIME_LIMITS = (2.0**-52, 1e4)
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,9 @@ def _chain_hamiltonian(spec: SuperlatticeSpec, n_sites: int):
 
 
 def default_site_count(spec: SuperlatticeSpec, t_max: float) -> int:
-    """Sites needed so the ballistic wavefront cannot reach the far end."""
-    k_max = max(abs(k) for k in spec.hopping)
-    return math.ceil(2.0 * k_max * t_max) + 4 * spec.q
+    """Sites that keep the ballistic front, widening like (kappa t)^(1/3), off the far end."""
+    reach = max(abs(k) for k in spec.hopping) * t_max
+    return math.ceil(2.0 * reach + 4.0 * reach ** (1 / 3)) + 2 * spec.q
 
 
 def single_site_excitation(n_sites: int, site: int = 1) -> np.ndarray:
@@ -88,8 +91,9 @@ def propagate(
     """Propagate an initial state for time ``t_max``, sampling uniformly.
 
     The site count is the length of ``psi0`` and must cover at least two
-    periods.  The far-boundary flag is raised (not an error) when more than a
-    1e-6 fraction of the norm enters the last period at any sample.  A state,
+    periods, and ``||H||_1 * t_max`` must lie in [2^-52, 1e4].  The
+    far-boundary flag is raised (not an error) when more than a 1e-6
+    fraction of the norm enters the last period at any sample.  A state,
     intensity or total norm that overflows to a non-finite value raises
     :class:`NumericsError`.
     """
@@ -104,9 +108,15 @@ def propagate(
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
 
+    hamiltonian = _chain_hamiltonian(spec, n_sites)
+    norm_time = abs(hamiltonian).sum(axis=0).max() * t_max
+    lo, hi = _NORM_TIME_LIMITS
+    if not lo <= norm_time <= hi:
+        raise ValueError(f"||H||_1 * t_max = {norm_time:.6g} lies outside the limits [{lo:.2g}, {hi:g}]")
+
     from scipy.sparse.linalg import expm_multiply
 
-    generator = -1j * _chain_hamiltonian(spec, n_sites)
+    generator = -1j * hamiltonian
     times = np.linspace(0.0, t_max, num_samples)
     with np.errstate(over="ignore", invalid="ignore"):
         states = expm_multiply(
@@ -157,20 +167,13 @@ def growth_rate_estimate(result: PropagationResult, fit_window: tuple[float, flo
     return _window_slope(result.sample_times, result.total_norm, fit_window)
 
 
-def boundary_growth_rate(
-    result: PropagationResult,
-    fit_window: tuple[float, float],
-    n_boundary_sites: int | None = None,
-) -> float:
+def boundary_growth_rate(result: PropagationResult, fit_window: tuple[float, float]) -> float:
     """Least-squares slope of ln(boundary intensity) over the window.
 
-    The boundary intensity sums the first ``n_boundary_sites`` sites (one
-    period by default).  Away from the boundary the diffracting background
-    drains quickly, so a localized boundary mode dominates this window early
-    and the slope approaches 2 Im(E*) already on short runs.
+    The boundary intensity sums the sites of the first period.  Away from
+    the boundary the diffracting background drains quickly, so a localized
+    boundary mode dominates this window early and the slope approaches
+    2 Im(E*) already on short runs.
     """
-    width = result.period if n_boundary_sites is None else int(n_boundary_sites)
-    if not 1 <= width <= result.intensities.shape[1]:
-        raise ValueError(f"boundary window of {width} sites out of range")
-    series = result.intensities[:, :width].sum(axis=1)
+    series = result.intensities[:, : result.period].sum(axis=1)
     return _window_slope(result.sample_times, series, fit_window)

@@ -30,6 +30,9 @@ __all__ = [
     "spec_from_json",
 ]
 
+# relative tolerance of the parity-centre comparisons
+_CENTRE_TOL = 1e-12
+
 
 class LatticeError(ValueError):
     """Invalid superlattice data."""
@@ -158,40 +161,33 @@ class PTSymmetryReport:
     symmetric: bool
     center: float | None = None
 
-    @property
-    def center_kind(self) -> str | None:
-        if self.center is None:
-            return None
-        return "site" if float(self.center).is_integer() else "bond"
 
-
-def check_pt_symmetry(spec: SuperlatticeSpec, tol: float = 1e-12) -> PTSymmetryReport:
+def check_pt_symmetry(spec: SuperlatticeSpec) -> PTSymmetryReport:
     """Scan the 2q candidate parity centers c in {0, 1/2, ..., q - 1/2}.
 
     The lattice is PT symmetric about c iff the periodic extensions satisfy
     ``V_{2c-n} = V_n*`` and ``kappa_{2c-n-1} = kappa_n`` for all n; the
-    smallest matching center is reported.  Comparisons allow ``tol`` times
-    the largest |V| or |kappa| of the lattice, because the constructions
-    feeding this check are exact to rounding.
+    smallest matching center is reported.  Comparisons allow 1e-12 times
+    the largest |V| or |kappa| of the lattice.
     """
-    doubled = _doubled_centres(np.asarray([spec.onsite]), spec.hopping, tol)[0]
+    doubled = _doubled_centres(np.asarray([spec.onsite]), spec.hopping)[0]
     if doubled < 0:
         return PTSymmetryReport(symmetric=False, center=None)
     return PTSymmetryReport(symmetric=True, center=doubled / 2.0)
 
 
-def _doubled_centres(onsite: np.ndarray, hopping, tol: float = 1e-12) -> np.ndarray:
+def _doubled_centres(onsite: np.ndarray, hopping) -> np.ndarray:
     """Twice the smallest parity center of each on-site row, or -1 if none.
 
     ``onsite`` has shape ``(S, q)``, one lattice per row, all sharing
     ``hopping``.  With 0-based site j, the center c = d/2 maps site j to
     ``(d - 2 - j) mod q`` and bond j to ``(d - 3 - j) mod q``; all S x 2q
-    candidates are tested in one comparison, within ``tol`` times the row's
-    largest |V| or |kappa|.
+    candidates are tested in one comparison, within ``_CENTRE_TOL`` times the
+    row's largest |V| or |kappa|.
     """
     q = onsite.shape[-1]
     hopping = np.asarray(hopping, dtype=float)
-    limit = tol * np.maximum(np.abs(onsite).max(axis=-1), np.abs(hopping).max())[:, None, None]
+    limit = _CENTRE_TOL * np.maximum(np.abs(onsite).max(axis=-1), np.abs(hopping).max())[:, None, None]
     doubled = np.arange(2 * q)
     partner = (doubled[:, None] - 2 - np.arange(q)) % q
     # near the float limit a difference may overflow to inf; inf exceeds

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -363,6 +364,20 @@ def test_evolve_intensity_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "x.summary.json").exists()
 
 
+def test_evolve_rejects_a_propagation_too_long_for_its_norm(tmp_path, capsys):
+    # ||H||_1 * t_max = 2e7: expm_multiply ran for more than a minute
+    out = tmp_path / "x.csv"
+    started = time.monotonic()
+    code = run(
+        "evolve", "--harper", "--delta", "1e6", "--lambda", "0", "--q", "2", "--tmax", "20",
+        "--out", str(out),
+    )
+    assert time.monotonic() - started < 1.0
+    assert code == 2
+    assert "||H||_1 * t_max = 2e+07 lies outside the limits [2.2e-16, 10000]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _imported_modules(argv, cwd: Path) -> list[str]:
     """Every module a fresh ``python -m ptsl.cli *argv`` imports, in order."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -474,9 +489,9 @@ def _overrun(signum, frame):
 
 
 @st.composite
-def _harper_flags(draw) -> list[str]:
+def _harper_flags(draw, delta=st.floats(0.0, 1e6)) -> list[str]:
     return [
-        "--delta", repr(draw(st.floats(0.0, 1e6))),
+        "--delta", repr(draw(delta)),
         "--p", str(draw(st.one_of(st.just(1), st.integers(1, 12)))),
         "--q", str(draw(st.integers(1, 12))),
         "--n0", str(draw(st.integers())),
@@ -503,8 +518,29 @@ def _lattice_json(draw) -> dict:
 
 
 @st.composite
+def _evolve_argv(draw, workdir: Path) -> list[str]:
+    # ||H||_1 * tmax stays below ~300, a run of milliseconds, or with
+    # delta = 1e6 and tmax >= 1 far above the limit that rejects it at once
+    tmax = draw(st.floats(0.0, 20.0))
+    huge = tmax >= 1.0 and draw(st.booleans())
+    flags = draw(_harper_flags(st.just(1e6) if huge else st.floats(0.0, 10.0)))
+    argv = [
+        "evolve", "--harper", *flags, "--lambda", repr(draw(st.floats(0.0, 10.0))),
+        "--tmax", repr(tmax), "--samples", str(draw(st.integers(2, 40))),
+        "--out", str(workdir / "intensity.csv"),
+    ]
+    if draw(st.booleans()):
+        argv += ["--sites", str(draw(st.integers(0, 120)))]
+    if draw(st.booleans()):
+        argv += ["--excite", str(draw(st.integers(0, 121)))]
+    return argv
+
+
+@st.composite
 def _argv(draw, workdir: Path) -> list[str]:
-    command = draw(st.sampled_from(["bands", "threshold", "sweep", "edges"]))
+    command = draw(st.sampled_from(["bands", "threshold", "sweep", "edges", "evolve"]))
+    if command == "evolve":
+        return draw(_evolve_argv(workdir))
     lambda_max = ["--lambda-max", repr(draw(st.floats(1e-3, 10.0)))]
     if command == "sweep":
         lo = draw(st.integers(1, 12))
@@ -568,7 +604,7 @@ def test_generated_commands_end_cleanly(data):
         signal.alarm(20)
         try:
             with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                warnings.simplefilter("ignore")  # several transitions in one scan
+                warnings.filterwarnings("ignore", r"\d+ reality transitions", UserWarning)
                 code = run(*argv)
         except SystemExit as exc:
             code = exc.code

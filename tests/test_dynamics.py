@@ -33,9 +33,20 @@ def test_hamiltonian_matches_lattice_pattern():
 def test_default_site_count_outruns_the_wavefront():
     spec = build_harper(HarperParams(0.3, 0.134, 1, 6, 0))
     n = default_site_count(spec, t_max=30.0)
-    assert n == 60 + 24
+    assert n == 73 + 12  # ceil(60 + 4 * 30^(1/3)) + 2q
     result = propagate(spec, single_site_excitation(n), 30.0, num_samples=40)
     assert not result.boundary_reach_flag
+
+
+@pytest.mark.parametrize("t_max", [5.0, 30.0, 300.0])
+@pytest.mark.parametrize("q", [1, 3, 6])
+def test_default_site_count_keeps_the_front_off_the_far_boundary(q, t_max):
+    # a margin of 4q sites alone let the widening Bessel front reach the
+    # last period at q = 1 and 3 (e.g. 14 sites for t = 5 where 18 are needed)
+    spec = build_harper(HarperParams(0.3, 0.0, 1, q, 0))
+    n = default_site_count(spec, t_max)
+    result = propagate(spec, single_site_excitation(n), t_max, num_samples=40)
+    assert not result.boundary_reach_flag, n
 
 
 def test_hermitian_norm_conservation_and_spreading():
@@ -100,8 +111,6 @@ def test_window_validation():
         growth_rate_estimate(result, (3.0, 2.0))
     with pytest.raises(ValueError, match="fewer than 2"):
         growth_rate_estimate(result, (2.0, 2.05))
-    with pytest.raises(ValueError, match="boundary window"):
-        boundary_growth_rate(result, (1.0, 4.0), n_boundary_sites=100)
 
 
 def test_propagate_validation():
@@ -116,6 +125,14 @@ def test_propagate_validation():
             propagate(UNIFORM, single_site_excitation(10), t_max)
     with pytest.raises(ValueError, match="excited site"):
         single_site_excitation(5, 9)
+
+
+def test_propagate_limits_norm_times_duration():
+    # two sites of the uniform chain have ||H||_1 = 1; t_max = 5e-324 used to
+    # end in a ZeroDivisionError inside expm_multiply
+    for t_max in (10000.1, 1e-16, 5e-324):
+        with pytest.raises(ValueError, match=r"t_max = .* lies outside the limits \[2\.2e-16, 10000\]"):
+            propagate(UNIFORM, single_site_excitation(2), t_max, num_samples=2)
 
 
 # ---------------------------------------------------------------------------

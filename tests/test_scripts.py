@@ -46,6 +46,9 @@ def test_script_runs_end_to_end(script, tmp_path):
     tables = sorted(outdir.glob("*.csv"))
     assert tables
     for table in tables:
+        # every data file comes from a ptsl command, except the lambda trace
+        if table.name != "edge_energies_vs_lambda.csv":
+            assert table.with_name(table.name + ".manifest.json").is_file(), table.name
         with table.open(newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) > 1, table.name

@@ -17,13 +17,6 @@ from ptsl.cli import main as ptsl
 HARPER = ["--delta", "0.3", "--q", "6"]
 
 
-def run(*argv) -> None:
-    """Run one ``ptsl`` command; a non-zero exit code ends the script with it."""
-    code = ptsl([str(a) for a in argv])
-    if code:
-        sys.exit(code)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("out"))
@@ -32,11 +25,14 @@ def main() -> None:
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     threshold = args.outdir / "threshold_q6.json"
-    run("threshold", *HARPER, "--lambda-max", "0.5", "--tol", "1e-5", "--out", threshold)
+    if code := ptsl(["threshold", *HARPER, "--lambda-max", "0.5", "--tol", "1e-5", "--out", str(threshold)]):
+        sys.exit(code)
     lam_c = json.loads(threshold.read_text(encoding="utf-8"))["lambda_c"]
     for tag, lam in (("hermitian", "0"), ("below", "0.134"), ("critical", repr(lam_c))):
         out = args.outdir / f"bands_q6_{tag}.csv"
-        run("bands", "--harper", *HARPER, "--lambda", lam, "--kpoints", args.kpoints, "--out", out)
+        argv = ["bands", "--harper", *HARPER, "--lambda", lam, "--kpoints", str(args.kpoints), "--out", str(out)]
+        if code := ptsl(argv):
+            sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,13 +17,6 @@ from ptsl.cli import main as ptsl
 HARPER = ["--harper", "--delta", "0.3", "--lambda", "0.134", "--q", "6"]
 
 
-def run(*argv) -> None:
-    """Run one ``ptsl`` command; a non-zero exit code ends the script with it."""
-    code = ptsl([str(a) for a in argv])
-    if code:
-        sys.exit(code)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("out"))
@@ -35,10 +28,12 @@ def main() -> None:
 
     for n0 in (0, 1, 2, 4):
         print(f"n0 = {n0}")
-        run(
-            "evolve", *HARPER, "--n0", n0, "--sites", args.sites, "--tmax", args.tmax,
-            "--samples", args.samples, "--out", args.outdir / f"intensity_n0_{n0}.csv",
-        )
+        argv = [
+            "evolve", *HARPER, "--n0", str(n0), "--sites", str(args.sites), "--tmax", str(args.tmax),
+            "--samples", str(args.samples), "--out", str(args.outdir / f"intensity_n0_{n0}.csv"),
+        ]
+        if code := ptsl(argv):
+            sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,13 +18,6 @@ from ptsl.cli import main as ptsl
 SWEEP = ["sweep", "--delta", "0.3", "--lambda-max", "0.5", "--tol", "1e-4", "--kpoints", "512"]
 
 
-def run(*argv) -> None:
-    """Run one ``ptsl`` command; a non-zero exit code ends the script with it."""
-    code = ptsl([str(a) for a in argv])
-    if code:
-        sys.exit(code)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("out"))
@@ -33,14 +26,16 @@ def main() -> None:
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     q_path = args.outdir / "sweep_q.csv"
-    run(*SWEEP, "--q-range", f"3:{args.qmax}", "--out", q_path)
+    if code := ptsl([*SWEEP, "--q-range", f"3:{args.qmax}", "--out", str(q_path)]):
+        sys.exit(code)
     q, sigma = np.loadtxt(q_path, delimiter=",", skiprows=1, usecols=(0, 2)).T
     grows = sigma > 0
     slope = np.polyfit(q[grows], np.log(sigma[grows]), 1)[0]
     print(f"sigma(q) exponential decay rate over q=3..{args.qmax}: {-slope:.3f}")
 
     p_path = args.outdir / "sweep_p_q19.csv"
-    run(*SWEEP, "--p-range", "1:18", "--q", "19", "--out", p_path)
+    if code := ptsl([*SWEEP, "--p-range", "1:18", "--q", "19", "--out", str(p_path)]):
+        sys.exit(code)
     sigma = np.loadtxt(p_path, delimiter=",", skiprows=1, usecols=2)
     print(f"sigma over p at q=19: max/min = {sigma.max() / sigma.min():.3f}")
 

@@ -18,13 +18,6 @@ from ptsl.cli import main as ptsl
 DELTA, P, Q, LAM = 0.3, 1, 6, 0.134
 
 
-def run(*argv) -> None:
-    """Run one ``ptsl`` command; a non-zero exit code ends the script with it."""
-    code = ptsl([str(a) for a in argv])
-    if code:
-        sys.exit(code)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("out"))
@@ -33,10 +26,12 @@ def main() -> None:
 
     for n0 in range(Q):
         print(f"n0 = {n0}")
-        run(
-            "edges", "--harper", "--delta", DELTA, "--lambda", LAM, "--p", P, "--q", Q,
-            "--n0", n0, "--out", args.outdir / f"edges_q6_n0_{n0}.csv",
-        )
+        argv = [
+            "edges", "--harper", "--delta", str(DELTA), "--lambda", str(LAM), "--p", str(P),
+            "--q", str(Q), "--n0", str(n0), "--out", str(args.outdir / f"edges_q6_n0_{n0}.csv"),
+        ]
+        if code := ptsl(argv):
+            sys.exit(code)
 
     # no command writes this trace, so it stays on the library
     trace_path = args.outdir / "edge_energies_vs_lambda.csv"

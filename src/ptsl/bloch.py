@@ -62,8 +62,6 @@ _CHUNK_BYTES = 128 * 1024
 # max |Im E| below which a non-Hermitian lattice without a parity centre
 # counts as real; every other spectrum is exact and needs no tolerance
 REALITY_TOL = 1e-9
-# band ranges closer than this are not reported as separated by a gap
-_MIN_GAP_WIDTH = 1e-9
 
 
 def _bloch_stack(onsite: np.ndarray, hopping, ks: np.ndarray) -> np.ndarray:
@@ -203,7 +201,7 @@ def band_gaps(bands: BandStructure) -> list[tuple[float, float]]:
     hi = real.max(axis=0)
     gaps = []
     for n in range(bands.q - 1):
-        if lo[n + 1] - hi[n] > _MIN_GAP_WIDTH:
+        if lo[n + 1] - hi[n] > 1e-9:
             gaps.append((float(hi[n]), float(lo[n + 1])))
     return gaps
 

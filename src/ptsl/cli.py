@@ -149,10 +149,11 @@ def _cmd_bands(args, parser) -> int:
         energies = bands.energies
         _write_rows(fh, bands.k_values, np.stack([energies.real, energies.imag], axis=-1))
     gaps = band_gaps(bands)
+    widths = [hi - lo for lo, hi in gaps]
     print(f"bands: {bands.q}  k-points: {args.kpoints}  max |Im E|: {bands.max_abs_imag:.3e}")
     print(f"gaps: {len(gaps)}")
-    for lo, hi in gaps:
-        print(f"  [{lo:+.4f}, {hi:+.4f}]  width {hi - lo:.4f}")
+    for (lo, hi), width in zip(gaps, widths):
+        print(f"  [{lo:+.4f}, {hi:+.4f}]  width {width:.4f}")
     _write_manifest("bands", _params(args), [out], started)
     return 0
 

@@ -39,9 +39,6 @@ __all__ = [
 
 # a wavefront entering the last period signals boundary contamination
 _BOUNDARY_FRACTION = 1e-6
-# limits on ||H||_1 * t_max: expm_multiply's step count grows with it, and
-# below 2^-52 the state rounds to psi0 and the step count to 0
-_NORM_TIME_LIMITS = (2.0**-52, 1e4)
 
 
 @dataclass(frozen=True)
@@ -67,8 +64,20 @@ def _chain_hamiltonian(spec: SuperlatticeSpec, n_sites: int):
     return scipy.sparse.diags([hopping, onsite, hopping], [-1, 0, 1], format="csr")
 
 
+def _check_norm_time(spec: SuperlatticeSpec, t_max: float) -> None:
+    """Reject ||H||_1 * t_max outside [2^-52, 1e4]: expm_multiply's step count
+    grows with it, and below 2^-52 the state rounds to psi0 and the count to 0.
+    ||H||_1 is bounded by one period's largest |V_n| + |kappa_{n-1}| + |kappa_n|."""
+    hopping = np.abs(spec.hopping)
+    with np.errstate(over="ignore"):  # an overflowed bound exceeds the limit
+        norm_time = float(np.max(np.abs(spec.onsite) + hopping + np.roll(hopping, 1))) * t_max
+    if not 2.0**-52 <= norm_time <= 1e4:
+        raise ValueError(f"||H||_1 * t_max = {norm_time:.6g} lies outside the limits [2.2e-16, 10000]")
+
+
 def default_site_count(spec: SuperlatticeSpec, t_max: float) -> int:
-    """Sites that keep the ballistic front, widening like (kappa t)^(1/3), off the far end."""
+    """Sites keeping the front, widening like (kappa t)^(1/3), off the far end; checks t_max first."""
+    _check_norm_time(spec, t_max)
     reach = max(abs(k) for k in spec.hopping) * t_max
     return math.ceil(2.0 * reach + 4.0 * reach ** (1 / 3)) + 2 * spec.q
 
@@ -107,16 +116,11 @@ def propagate(
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
-
-    hamiltonian = _chain_hamiltonian(spec, n_sites)
-    norm_time = abs(hamiltonian).sum(axis=0).max() * t_max
-    lo, hi = _NORM_TIME_LIMITS
-    if not lo <= norm_time <= hi:
-        raise ValueError(f"||H||_1 * t_max = {norm_time:.6g} lies outside the limits [{lo:.2g}, {hi:g}]")
+    _check_norm_time(spec, t_max)
 
     from scipy.sparse.linalg import expm_multiply
 
-    generator = -1j * hamiltonian
+    generator = -1j * _chain_hamiltonian(spec, n_sites)
     times = np.linspace(0.0, t_max, num_samples)
     with np.errstate(over="ignore", invalid="ignore"):
         states = expm_multiply(

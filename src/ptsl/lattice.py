@@ -30,9 +30,6 @@ __all__ = [
     "spec_from_json",
 ]
 
-# relative tolerance of the parity-centre comparisons
-_CENTRE_TOL = 1e-12
-
 
 class LatticeError(ValueError):
     """Invalid superlattice data."""
@@ -161,6 +158,12 @@ class PTSymmetryReport:
     symmetric: bool
     center: float | None = None
 
+    @property
+    def center_kind(self) -> str | None:
+        if self.center is None:
+            return None
+        return "site" if float(self.center).is_integer() else "bond"
+
 
 def check_pt_symmetry(spec: SuperlatticeSpec) -> PTSymmetryReport:
     """Scan the 2q candidate parity centers c in {0, 1/2, ..., q - 1/2}.
@@ -182,12 +185,12 @@ def _doubled_centres(onsite: np.ndarray, hopping) -> np.ndarray:
     ``onsite`` has shape ``(S, q)``, one lattice per row, all sharing
     ``hopping``.  With 0-based site j, the center c = d/2 maps site j to
     ``(d - 2 - j) mod q`` and bond j to ``(d - 3 - j) mod q``; all S x 2q
-    candidates are tested in one comparison, within ``_CENTRE_TOL`` times the
-    row's largest |V| or |kappa|.
+    candidates are tested in one comparison, within 1e-12 times the row's
+    largest |V| or |kappa|.
     """
     q = onsite.shape[-1]
     hopping = np.asarray(hopping, dtype=float)
-    limit = _CENTRE_TOL * np.maximum(np.abs(onsite).max(axis=-1), np.abs(hopping).max())[:, None, None]
+    limit = 1e-12 * np.maximum(np.abs(onsite).max(axis=-1), np.abs(hopping).max())[:, None, None]
     doubled = np.arange(2 * q)
     partner = (doubled[:, None] - 2 - np.arange(q)) % q
     # near the float limit a difference may overflow to inf; inf exceeds

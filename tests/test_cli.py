@@ -365,7 +365,8 @@ def test_evolve_intensity_overflow_is_a_numerical_failure(tmp_path, capsys):
 
 
 def test_evolve_rejects_a_propagation_too_long_for_its_norm(tmp_path, capsys):
-    # ||H||_1 * t_max = 2e7: expm_multiply ran for more than a minute
+    # ||H||_1 * t_max = 2e7: expm_multiply ran for more than a minute; the
+    # check needs neither scipy nor the chain, so it ends at once
     out = tmp_path / "x.csv"
     started = time.monotonic()
     code = run(

@@ -128,11 +128,14 @@ def test_propagate_validation():
 
 
 def test_propagate_limits_norm_times_duration():
-    # two sites of the uniform chain have ||H||_1 = 1; t_max = 5e-324 used to
-    # end in a ZeroDivisionError inside expm_multiply
-    for t_max in (10000.1, 1e-16, 5e-324):
+    # one period of the uniform chain bounds ||H||_1 by |V| + 2|kappa| = 2;
+    # t_max = 5e-324 used to end in a ZeroDivisionError inside expm_multiply
+    for t_max in (5000.1, 1e-16, 5e-324):
         with pytest.raises(ValueError, match=r"t_max = .* lies outside the limits \[2\.2e-16, 10000\]"):
             propagate(UNIFORM, single_site_excitation(2), t_max, num_samples=2)
+    # the default chain for t_max = 1e9 would need 2e9 sites; it is never sized
+    with pytest.raises(ValueError, match=r"t_max = 2e\+09 lies outside"):
+        default_site_count(UNIFORM, 1e9)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,7 @@ def test_harper_anchor_zero_has_site_center_zero():
     report = check_pt_symmetry(build_harper(HarperParams(0.3, 0.134, 1, 6, 0)))
     assert report.symmetric
     assert report.center == 0.0
+    assert report.center_kind == "site"
 
 
 def test_single_site_real_lattice_is_symmetric():
@@ -136,6 +137,7 @@ def test_two_site_unbalanced_gain_is_not_symmetric():
     report = check_pt_symmetry(SuperlatticeSpec((1j, 2j), (1.0, 1.0)))
     assert not report.symmetric
     assert report.center is None
+    assert report.center_kind is None
 
 
 def test_bond_centered_parity_detected():
@@ -143,6 +145,7 @@ def test_bond_centered_parity_detected():
     report = check_pt_symmetry(SuperlatticeSpec((1.0 + 2.0j, 1.0 - 2.0j), (1.0, 1.0)))
     assert report.symmetric
     assert report.center == 0.5
+    assert report.center_kind == "bond"
 
 
 @given(pt_specs(min_q=1, max_q=8))

@@ -89,22 +89,25 @@ def _write_manifest(command: str, params: dict, outputs: list[Path], started: fl
         path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _add_lattice_args(parser: argparse.ArgumentParser, family_only: bool = False) -> None:
-    if not family_only:
-        parser.add_argument("--lattice", metavar="FILE", help="lattice JSON file")
-        parser.add_argument("--harper", action="store_true", help="use the Harper shorthand flags")
+def _add_family_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, default=None, help="cosine amplitude")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None, help="sine amplitude")
     parser.add_argument("--p", type=int, default=1)
     parser.add_argument("--q", type=int, default=None)
     parser.add_argument("--n0", type=int, default=0, help="pattern anchor site")
 
 
+def _add_lattice_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--lattice", metavar="FILE", help="lattice JSON file")
+    parser.add_argument("--harper", action="store_true", help="use the Harper shorthand flags")
+    _add_family_args(parser)
+    parser.add_argument("--lambda", dest="lam", type=float, default=None, help="sine amplitude")
+
+
 def _load_spec(args, parser: argparse.ArgumentParser):
-    if getattr(args, "lattice", None):
+    if args.lattice:
         with open(args.lattice, encoding="utf-8") as fh:
             return spec_from_json(json.load(fh))
-    if getattr(args, "harper", False):
+    if args.harper:
         if args.delta is None or args.lam is None or args.q is None:
             parser.error("--harper needs --delta, --lambda and --q")
         return build_harper(
@@ -114,7 +117,7 @@ def _load_spec(args, parser: argparse.ArgumentParser):
 
 
 def _load_family(args, parser: argparse.ArgumentParser) -> ParametricLattice:
-    if getattr(args, "lattice", None):
+    if args.lattice:
         with open(args.lattice, encoding="utf-8") as fh:
             return family_from_json(json.load(fh))
     if args.delta is None or args.q is None:
@@ -338,27 +341,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ptsl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: threshold and sweep would read --lambda as --lambda-max
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("bands", help="band structure CSV and gap summary")
+    p = add("bands", help="band structure CSV and gap summary")
     _add_lattice_args(p)
     p.add_argument("--kpoints", type=int, default=256)
     p.add_argument("--out", default="bands.csv")
     p.set_defaults(func=_cmd_bands)
 
-    p = sub.add_parser("threshold", help="symmetry-breaking threshold (optionally swept over q)")
-    _add_lattice_args(p)
+    p = add("threshold", help="symmetry-breaking threshold (optionally swept over q)")
+    p.add_argument("--lattice", metavar="FILE", help="lattice JSON file")
+    _add_family_args(p)
     p.add_argument("--lambda-max", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--q-range", metavar="A:B", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("edges", help="truncation census and spectrum verdict")
+    p = add("edges", help="truncation census and spectrum verdict")
     _add_lattice_args(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_edges)
 
-    p = sub.add_parser("evolve", help="time propagation of a single-site excitation")
+    p = add("evolve", help="time propagation of a single-site excitation")
     _add_lattice_args(p)
     p.add_argument("--tmax", type=float, default=30.0)
     p.add_argument("--sites", type=int, default=None)
@@ -368,8 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="intensity.csv")
     p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("sweep", help="threshold and growth rate over a q or p range")
-    _add_lattice_args(p, family_only=True)
+    p = add("sweep", help="threshold and growth rate over a q or p range")
+    _add_family_args(p)
     p.add_argument("--q-range", metavar="A:B", default=None)
     p.add_argument("--p-range", metavar="A:B", default=None)
     p.add_argument("--sigma-lambda", default="delta", help="strength for the growth rate")

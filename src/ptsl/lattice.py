@@ -124,6 +124,8 @@ class HarperParams:
     n0: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.delta):
+            raise LatticeError(f"cosine amplitude delta must be finite, got {self.delta}")
         if self.q < 1:
             raise LatticeError("period q must be a positive integer")
         if self.p < 1:
@@ -141,7 +143,7 @@ def build_harper(params: HarperParams) -> SuperlatticeSpec:
 
 def harper_family(delta: float, p: int, q: int, n0: int = 0) -> ParametricLattice:
     """The Harper lattice as a family over the non-Hermitian strength."""
-    HarperParams(delta=delta, lam=0.0, p=p, q=q, n0=n0)  # validates p, q
+    HarperParams(delta=delta, lam=0.0, p=p, q=q, n0=n0)  # validates delta, p, q
     sites = np.arange(1, q + 1)
     phase = 2.0 * np.pi * (p / q) * (sites - n0 % q)  # V depends on n0 mod q only
     return ParametricLattice(

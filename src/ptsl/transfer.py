@@ -5,11 +5,10 @@ The 2x2 matrix ``M_n(E)`` maps the amplitude pair ``(psi_n, psi_{n-1})`` to
 
     S(E) = M_q(E) M_{q-1}(E) ... M_1(E)
 
-is unimodular (its determinant telescopes to kappa_0/kappa_q = 1).  Powers of
-S therefore admit the Chebyshev-style closed form in the angle theta with
-``cos(theta) = tr S / 2``; E belongs to the continuous spectrum of the
-infinite lattice exactly when theta is real, i.e. ``tr S`` real with
-``|tr S| <= 2``.
+is unimodular (its determinant telescopes to kappa_0/kappa_q = 1), so its
+eigenvalues are exp(+-i theta) with ``cos(theta) = tr S / 2``.  E belongs to
+the continuous spectrum of the infinite lattice exactly when theta is real,
+i.e. ``tr S`` real with ``|tr S| <= 2``.
 
 All four entries of S are polynomials in E (degrees q, q-1, q-1, q-2), which
 :func:`symbolic_period_matrix` builds exactly by polynomial products, as
@@ -18,7 +17,6 @@ arrays of ascending coefficients.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +32,6 @@ __all__ = [
     "transfer_power",
     "symbolic_period_matrix",
 ]
-
-# sin(theta) below this means E sits close enough to a band edge that the
-# closed-form power loses absolute accuracy (the sine ratio amplifies the
-# eps-level resolution of theta by 1/sin(theta)); fall back to direct
-# multiplication there, which is exact to rounding for small powers
-_DEGENERATE_SIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -66,15 +58,6 @@ class TransferMatrix:
     @property
     def trace(self) -> complex:
         return self.s11 + self.s22
-
-    @property
-    def theta(self) -> complex:
-        """Principal angle with cos(theta) = tr S / 2.
-
-        Only even functions of theta are consumed downstream, so the branch
-        choice is observationally irrelevant.
-        """
-        return cmath.acos(self.trace / 2.0)
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.s11, self.s12], [self.s21, self.s22]], dtype=complex)
@@ -109,44 +92,11 @@ def period_matrix(spec: SuperlatticeSpec, energy: complex) -> TransferMatrix:
     )
 
 
-def _chebyshev_power(array: np.ndarray, power: int, theta: complex) -> np.ndarray:
-    """sin(m*theta)/sin(theta) * S - sin((m-1)*theta)/sin(theta) * I."""
-    sin_theta = cmath.sin(theta)
-    u_m = cmath.sin(power * theta) / sin_theta
-    u_prev = cmath.sin((power - 1) * theta) / sin_theta
-    return u_m * array - u_prev * np.eye(2, dtype=complex)
-
-
-def _direct_power(array: np.ndarray, power: int) -> np.ndarray:
-    result = np.eye(2, dtype=complex)
-    base = array.copy()
-    m = power
-    while m:
-        if m & 1:
-            result = base @ result
-        base = base @ base
-        m >>= 1
-    return result
-
-
 def transfer_power(matrix: TransferMatrix, power: int) -> np.ndarray:
-    """M-th power of a unimodular transfer matrix as a 2x2 array.
-
-    Uses the closed form in theta away from band edges; near a band edge
-    (``|sin(theta)|`` below 1e-4) the closed form degenerates and repeated
-    multiplication is used instead.
-    """
+    """M-th power of a transfer matrix as a 2x2 array, by repeated squaring."""
     if power < 0:
         raise ValueError("power must be a nonnegative integer")
-    array = matrix.as_array()
-    if power == 0:
-        return np.eye(2, dtype=complex)
-    if power == 1:
-        return array
-    theta = matrix.theta
-    if abs(cmath.sin(theta)) < _DEGENERATE_SIN:
-        return _direct_power(array, power)
-    return _chebyshev_power(array, power, theta)
+    return np.linalg.matrix_power(matrix.as_array(), power)
 
 
 def _trim_relative(coeffs: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:

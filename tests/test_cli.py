@@ -173,6 +173,25 @@ def test_threshold_rejects_bad_lambda_max():
     with pytest.raises(SystemExit) as info:
         run("threshold", "--delta", "0.3", "--q", "6", "--lambda-max", "0")
     assert info.value.code == 2
+    # threshold takes no strength: --lambda used to be ignored, and must not
+    # be read as a prefix of --lambda-max; --harper used to be ignored too
+    with pytest.raises(SystemExit) as info:
+        run("threshold", "--delta", "0.3", "--q", "6", "--lambda", "0.1")
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        run("threshold", "--harper", "--delta", "0.3", "--q", "6")
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["threshold", "sweep"])
+def test_nonfinite_delta_is_rejected(command, delta, tmp_path, capsys):
+    # used to solve 64 eigenproblems and exit 2 with "Eigenvalues did not converge"
+    argv = [command, f"--delta={delta}", "--q-range", "3:4", "--out", str(tmp_path / "x.csv")]
+    if command == "threshold":
+        argv = [command, f"--delta={delta}", "--q", "6"]
+    assert run(*argv) == 2
+    assert "delta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
@@ -473,6 +492,10 @@ def test_sweep_usage_errors(tmp_path):
             "sweep", "--delta", "0.3", "--q-range", "3:5", "--p-range", "1:2",
             "--out", str(tmp_path / "x.csv"),
         )
+    assert info.value.code == 2
+    # the growth rate's strength is --sigma-lambda; --lambda used to be ignored
+    with pytest.raises(SystemExit) as info:
+        run("sweep", "--delta", "0.3", "--q-range", "3:5", "--lambda", "0.1", "--out", str(tmp_path / "x.csv"))
     assert info.value.code == 2
 
 

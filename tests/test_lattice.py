@@ -50,6 +50,9 @@ def test_harper_validation():
         HarperParams(delta=0.3, lam=0.1, p=1, q=0)
     with pytest.raises(LatticeError, match="nonnegative"):
         HarperParams(delta=0.3, lam=-0.1, p=1, q=3)
+    for delta in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(LatticeError, match="delta must be finite"):
+            HarperParams(delta=delta, lam=0.1, p=1, q=3)
 
 
 def test_harper_value_at_anchor_site_is_exact():

@@ -19,7 +19,6 @@ from ptsl import (
     symbolic_period_matrix,
     transfer_power,
 )
-from ptsl.transfer import _chebyshev_power
 
 HARPER = build_harper(HarperParams(0.3, 0.134, 1, 6, 0))
 
@@ -69,7 +68,8 @@ def test_period_matrix_eigenvalues_are_exp_of_theta():
     for _ in range(10):
         energy = complex(*rng.uniform(-2, 2, size=2))
         s = period_matrix(HARPER, energy)
-        expected = sorted([cmath.exp(1j * s.theta), cmath.exp(-1j * s.theta)], key=abs)
+        theta = cmath.acos(s.trace / 2)
+        expected = sorted([cmath.exp(1j * theta), cmath.exp(-1j * theta)], key=abs)
         observed = sorted(np.linalg.eigvals(s.as_array()), key=abs)
         assert max(abs(a - b) for a, b in zip(expected, observed)) < 1e-9
 
@@ -80,7 +80,7 @@ def test_nonunimodular_input_rejected():
 
 
 # ---------------------------------------------------------------------------
-# closed-form powers
+# powers
 # ---------------------------------------------------------------------------
 
 
@@ -107,8 +107,8 @@ def test_power_matches_direct_product():
         assert np.max(np.abs(transfer_power(s, 7) - direct)) < 1e-8 * scale
 
 
-def test_power_at_band_edge_uses_degenerate_limit():
-    # uniform lattice at E = -2: tr S = 2, theta = 0, sin(theta) = 0 exactly
+def test_power_at_band_edge():
+    # uniform lattice at E = -2: tr S = 2 exactly, so S is a Jordan block
     spec = SuperlatticeSpec((0.0,), (1.0,))
     for energy, m in ((-2.0, 9), (2.0, 8), (2.0 - 1e-12, 11)):
         s = period_matrix(spec, energy)
@@ -122,14 +122,6 @@ def test_power_semigroup_property():
     combined = transfer_power(s, 9)
     split = transfer_power(s, 5) @ transfer_power(s, 4)
     assert np.max(np.abs(combined - split)) < 1e-8 * max(1.0, np.max(np.abs(combined)))
-
-
-def test_chebyshev_form_is_even_in_theta():
-    s = period_matrix(HARPER, 0.4 + 0.05j)
-    theta = s.theta
-    plus = _chebyshev_power(s.as_array(), 6, theta)
-    minus = _chebyshev_power(s.as_array(), 6, -theta)
-    assert np.max(np.abs(plus - minus)) < 1e-10
 
 
 def test_negative_power_rejected():

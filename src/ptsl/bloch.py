@@ -1,4 +1,4 @@
-"""Infinite-lattice spectrum: Bloch matrix, bands, PT-phase diagnosis, sweeps.
+"""Infinite-lattice spectrum: Bloch matrix, bands, PT phase, thresholds, growth rates.
 
 For a period-q superlattice the Bloch reduction at wave number
 ``k in [-pi/q, pi/q)`` is a q x q matrix.  It is built in the uniform
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,14 +43,12 @@ __all__ = [
     "BandStructure",
     "PhaseDiagnosis",
     "ThresholdResult",
-    "SweepRow",
     "bloch_matrix",
     "band_structure",
     "band_gaps",
     "diagnose_pt_phase",
     "breaking_threshold",
     "max_growth_rate",
-    "sweep",
 ]
 
 
@@ -320,35 +317,3 @@ def max_growth_rate(spec: SuperlatticeSpec, num_k: int = 256) -> float:
     sigma = float(np.max(values.imag))
     limit = 0.0 if exact[0] else REALITY_TOL
     return 0.0 if sigma <= limit else sigma
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    param: int
-    lambda_c: float
-    sigma: float
-
-
-def sweep(
-    make_family: Callable[[int], ParametricLattice],
-    params: Sequence[int],
-    lambda_max: float,
-    sigma_lambda: float,
-    tol_lambda: float = 1e-4,
-    num_k: int = 256,
-) -> list[SweepRow]:
-    """Threshold and growth rate per parameter value, in parameter order.
-
-    ``sigma_lambda`` fixes the non-Hermitian strength at which the growth
-    rate is evaluated.  Rows for never-breaking families carry
-    ``lambda_c = inf``.
-    """
-
-    def one(param: int) -> SweepRow:
-        family = make_family(param)
-        threshold = breaking_threshold(family, lambda_max, tol_lambda=tol_lambda)
-        sigma = max_growth_rate(family.at(float(sigma_lambda)), num_k=num_k)
-        lambda_c = math.inf if threshold.never_broken else threshold.lambda_c
-        return SweepRow(param=int(param), lambda_c=lambda_c, sigma=sigma)
-
-    return [one(p) for p in params]

@@ -6,8 +6,9 @@ over q), ``edges`` (truncation census with spectrum verdict), ``evolve``
 (time propagation with growth-rate summary) and ``sweep`` (threshold and
 growth rate over a q or p range).
 
-Every output file gets a ``<name>.manifest.json`` sibling recording the
-command, its full parameter set, the tool version and wall-clock duration;
+Each subcommand returns the files it wrote, and ``main`` gives each of them a
+``<name>.manifest.json`` sibling once the command has succeeded, recording
+the command, its full parameter set, the tool version and wall-clock duration;
 re-running a command with the recorded parameters reproduces the data files
 byte for byte.  Exit codes: 0 success, 1 numerical failure, 2 bad usage or
 invalid lattice.
@@ -16,6 +17,7 @@ invalid lattice.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -26,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bloch import band_gaps, band_structure, breaking_threshold, sweep
+from .bloch import band_gaps, band_structure, breaking_threshold, max_growth_rate
 from .dynamics import (
+    _check_fit_window,
     boundary_growth_rate,
     default_site_count,
     growth_rate_estimate,
@@ -76,6 +79,14 @@ def _write_rows(fh, leads, blocks, first_index: int = 0) -> None:
         fh.write(template % tuple(args))
 
 
+def _write_table(out: Path, header: str, rows) -> None:
+    """Write ``header`` and one line per row: a str field as is, a number with ``_fmt``."""
+    with out.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f if isinstance(f, str) else _fmt(f) for f in row) + "\n")
+
+
 def _write_manifest(command: str, params: dict, outputs: list[Path], started: float) -> None:
     manifest = {
         "command": command,
@@ -103,10 +114,26 @@ def _add_lattice_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="lam", type=float, default=None, help="sine amplitude")
 
 
+# the Harper flags that a lattice file would override; --p and --n0 have defaults
+_HARPER_FLAGS = {"harper": "--harper", "delta": "--delta", "lam": "--lambda", "q": "--q"}
+
+
+def _read_lattice(args, parser: argparse.ArgumentParser) -> dict:
+    """The JSON of ``--lattice FILE``; a Harper flag given beside it is a usage error."""
+    given = [
+        flag
+        for dest, flag in _HARPER_FLAGS.items()
+        if (value := vars(args).get(dest)) is not None and value is not False  # 0 is a given value
+    ]
+    if given:
+        parser.error(f"--lattice cannot be combined with {', '.join(given)}")
+    with open(args.lattice, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_spec(args, parser: argparse.ArgumentParser):
     if args.lattice:
-        with open(args.lattice, encoding="utf-8") as fh:
-            return spec_from_json(json.load(fh))
+        return spec_from_json(_read_lattice(args, parser))
     if args.harper:
         if args.delta is None or args.lam is None or args.q is None:
             parser.error("--harper needs --delta, --lambda and --q")
@@ -118,8 +145,7 @@ def _load_spec(args, parser: argparse.ArgumentParser):
 
 def _load_family(args, parser: argparse.ArgumentParser) -> ParametricLattice:
     if args.lattice:
-        with open(args.lattice, encoding="utf-8") as fh:
-            return family_from_json(json.load(fh))
+        return family_from_json(_read_lattice(args, parser))
     if args.delta is None or args.q is None:
         parser.error("provide --lattice FILE or --delta and --q")
     return harper_family(args.delta, args.p, args.q, args.n0)
@@ -140,11 +166,8 @@ def _parse_range(text: str, parser: argparse.ArgumentParser) -> range:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bands(args, parser) -> int:
-    started = time.monotonic()
+def _cmd_bands(args, parser) -> list[Path]:
     spec = _load_spec(args, parser)
-    if args.kpoints < 2:
-        parser.error("--kpoints must be at least 2")
     bands = band_structure(spec, args.kpoints)
     out = Path(args.out)
     with out.open("w", encoding="utf-8", newline="\n") as fh:
@@ -157,35 +180,27 @@ def _cmd_bands(args, parser) -> int:
     print(f"gaps: {len(gaps)}")
     for (lo, hi), width in zip(gaps, widths):
         print(f"  [{lo:+.4f}, {hi:+.4f}]  width {width:.4f}")
-    _write_manifest("bands", _params(args), [out], started)
-    return 0
+    return [out]
 
 
-def _cmd_threshold(args, parser) -> int:
-    started = time.monotonic()
-    if args.lambda_max <= 0:
-        parser.error("--lambda-max must be positive")
+def _lambda_c(family: ParametricLattice, args) -> float:
+    """The family's lambda_c, or inf when it never breaks up to --lambda-max."""
+    result = breaking_threshold(family, args.lambda_max, tol_lambda=args.tol)
+    return math.inf if result.never_broken else result.lambda_c
+
+
+def _cmd_threshold(args, parser) -> list[Path]:
     if args.q_range is not None:
         if args.lattice:
             parser.error("--q-range sweeps the Harper family; it cannot be combined with --lattice")
         qs = _parse_range(args.q_range, parser)
         if args.delta is None:
             parser.error("sweeping q needs --delta")
-        results = [
-            breaking_threshold(
-                harper_family(args.delta, args.p, q, args.n0), args.lambda_max, tol_lambda=args.tol
-            )
-            for q in qs
-        ]
+        rows = [(str(q), _lambda_c(harper_family(args.delta, args.p, q, args.n0), args)) for q in qs]
         out = Path(args.out or "threshold_sweep.csv")
-        with out.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("param,lambda_c\n")
-            for q, result in zip(qs, results):
-                lambda_c = math.inf if result.never_broken else result.lambda_c
-                fh.write(f"{q},{_fmt(lambda_c)}\n")
-        print(f"wrote {len(results)} rows to {out}")
-        _write_manifest("threshold", _params(args), [out], started)
-        return 0
+        _write_table(out, "param,lambda_c", rows)
+        print(f"wrote {len(rows)} rows to {out}")
+        return [out]
     family = _load_family(args, parser)
     result = breaking_threshold(family, args.lambda_max, tol_lambda=args.tol)
     if result.never_broken:
@@ -195,27 +210,14 @@ def _cmd_threshold(args, parser) -> int:
         print(f"lambda_c = {result.lambda_c:.6f}  (bracket [{lo:.6f}, {hi:.6f}])")
         if result.transitions > 1:
             print(f"warning: {result.transitions} transitions found; first reported")
-    if args.out:
-        out = Path(args.out)
-        out.write_text(
-            json.dumps(
-                {
-                    "lambda_c": result.lambda_c,
-                    "bracket": list(result.bracket),
-                    "never_broken": result.never_broken,
-                    "transitions": result.transitions,
-                },
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        _write_manifest("threshold", _params(args), [out], started)
-    return 0
+    if not args.out:
+        return []
+    out = Path(args.out)
+    out.write_text(json.dumps(dataclasses.asdict(result), indent=2) + "\n", encoding="utf-8")
+    return [out]
 
 
-def _cmd_edges(args, parser) -> int:
-    started = time.monotonic()
+def _cmd_edges(args, parser) -> list[Path]:
     spec = _load_spec(args, parser)
     records = edge_spectrum(spec)
     reality = spectrum_reality(spec, records=records)
@@ -227,36 +229,32 @@ def _cmd_edges(args, parser) -> int:
             f"{r.classification.value:<16} {length}"
         )
     print(f"spectrum: {'real' if reality.real else 'complex'}")
-    if args.out:
-        out = Path(args.out)
-        with out.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("re_E,im_E,abs_S11,class,loc_length\n")
-            for r in records:
-                length = _fmt(r.localization_length) if r.localization_length else ""
-                fh.write(
-                    f"{_fmt(r.energy.real)},{_fmt(r.energy.imag)},{_fmt(r.s11_abs)},"
-                    f"{r.classification.value},{length}\n"
-                )
-        _write_manifest("edges", _params(args), [out], started)
-    return 0
+    if not args.out:
+        return []
+    out = Path(args.out)
+    rows = [
+        (r.energy.real, r.energy.imag, r.s11_abs, r.classification.value, r.localization_length or "")
+        for r in records
+    ]
+    _write_table(out, "re_E,im_E,abs_S11,class,loc_length", rows)
+    return [out]
 
 
-def _cmd_evolve(args, parser) -> int:
-    started = time.monotonic()
+def _cmd_evolve(args, parser) -> list[Path]:
     spec = _load_spec(args, parser)
-    if not (args.tmax > 0 and math.isfinite(args.tmax)):
-        parser.error("--tmax must be positive and finite")
-    n_sites = default_site_count(spec, args.tmax) if args.sites is None else args.sites
-    psi0 = single_site_excitation(n_sites, args.excite)
-    result = propagate(spec, psi0, args.tmax, num_samples=args.samples)
     if args.fit_window:
         try:
             t1, t2 = (float(part) for part in args.fit_window.split(":"))
         except ValueError:
             parser.error(f"--fit-window must look like t1:t2, got {args.fit_window!r}")
+        # checked before the run, which a long --tmax makes slow
+        _check_fit_window((t1, t2), 0.0, args.tmax)
     else:
         t1, t2 = args.tmax / 2.0, args.tmax
     window = (t1, t2)
+    n_sites = default_site_count(spec, args.tmax) if args.sites is None else args.sites
+    psi0 = single_site_excitation(n_sites, args.excite)
+    result = propagate(spec, psi0, args.tmax, num_samples=args.samples)
     summary = {
         "sites": n_sites,
         "t_max": args.tmax,
@@ -278,18 +276,14 @@ def _cmd_evolve(args, parser) -> int:
     )
     if result.boundary_reach_flag:
         print("warning: wavefront reached the far boundary; increase --sites")
-    _write_manifest("evolve", _params(args), [out, summary_path], started)
-    return 0
+    return [out, summary_path]
 
 
-def _cmd_sweep(args, parser) -> int:
-    started = time.monotonic()
+def _cmd_sweep(args, parser) -> list[Path]:
     if (args.q_range is None) == (args.p_range is None):
         parser.error("provide exactly one of --q-range or --p-range")
     if args.delta is None:
         parser.error("sweep needs --delta")
-    if args.lambda_max <= 0:
-        parser.error("--lambda-max must be positive")
     if args.sigma_lambda == "delta":
         sigma_lambda = args.delta
     else:
@@ -298,29 +292,22 @@ def _cmd_sweep(args, parser) -> int:
         except ValueError:
             parser.error(f"--sigma-lambda must be a number or 'delta', got {args.sigma_lambda!r}")
     if args.q_range is not None:
-        params = list(_parse_range(args.q_range, parser))
+        params = _parse_range(args.q_range, parser)
         make_family = lambda q: harper_family(args.delta, args.p, q, args.n0)  # noqa: E731
     else:
         if args.q is None:
             parser.error("--p-range needs a fixed --q")
-        params = list(_parse_range(args.p_range, parser))
+        params = _parse_range(args.p_range, parser)
         make_family = lambda p: harper_family(args.delta, p, args.q, args.n0)  # noqa: E731
-    rows = sweep(
-        make_family,
-        params,
-        lambda_max=args.lambda_max,
-        sigma_lambda=sigma_lambda,
-        tol_lambda=args.tol,
-        num_k=args.kpoints,
-    )
+    rows = []
+    for param in params:
+        family = make_family(param)
+        lambda_c = _lambda_c(family, args)
+        rows.append((str(param), lambda_c, max_growth_rate(family.at(sigma_lambda), num_k=args.kpoints)))
     out = Path(args.out)
-    with out.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("param,lambda_c,sigma\n")
-        for row in rows:
-            fh.write(f"{row.param},{_fmt(row.lambda_c)},{_fmt(row.sigma)}\n")
+    _write_table(out, "param,lambda_c,sigma", rows)
     print(f"wrote {len(rows)} rows to {out}")
-    _write_manifest("sweep", _params(args), [out], started)
-    return 0
+    return [out]
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +378,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args, parser)
+        outputs = args.func(args, parser)
+        _write_manifest(args.command, _params(args), outputs, started)
     except (LatticeError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericsError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -68,6 +68,8 @@ def _check_norm_time(spec: SuperlatticeSpec, t_max: float) -> None:
     """Reject ||H||_1 * t_max outside [2^-52, 1e4]: expm_multiply's step count
     grows with it, and below 2^-52 the state rounds to psi0 and the count to 0.
     ||H||_1 is bounded by one period's largest |V_n| + |kappa_{n-1}| + |kappa_n|."""
+    if not (t_max > 0 and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     hopping = np.abs(spec.hopping)
     with np.errstate(over="ignore"):  # an overflowed bound exceeds the limit
         norm_time = float(np.max(np.abs(spec.onsite) + hopping + np.roll(hopping, 1))) * t_max
@@ -112,8 +114,6 @@ def propagate(
         raise ValueError(f"{n_sites} sites cover less than two periods (q={spec.q})")
     if not np.linalg.norm(psi0) > 0:
         raise ValueError("initial state must be nonzero")
-    if not (t_max > 0 and math.isfinite(t_max)):
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
     _check_norm_time(spec, t_max)
@@ -146,20 +146,29 @@ def propagate(
     )
 
 
-def _window_slope(times: np.ndarray, series: np.ndarray, fit_window: tuple[float, float]) -> float:
+def _check_fit_window(fit_window: tuple[float, float], start: float, end: float) -> None:
+    """Reject a fit window unless 0 <= t1 < t2 and [t1, t2] lies in [start, end]."""
     t1, t2 = fit_window
     if not t2 > t1 or t1 < 0:
         raise ValueError(f"invalid fit window [{t1}, {t2}]")
-    if t1 < times[0] - 1e-12 or t2 > times[-1] + 1e-12:
-        raise ValueError(
-            f"fit window [{t1}, {t2}] outside sampled range [{times[0]}, {times[-1]}]"
-        )
+    if t1 < start - 1e-12 or t2 > end + 1e-12:
+        raise ValueError(f"fit window [{t1}, {t2}] outside sampled range [{start}, {end}]")
+
+
+def _window_slope(times: np.ndarray, series: np.ndarray, fit_window: tuple[float, float]) -> float:
+    """Least-squares slope of ln(series) over the window.
+
+    The fit runs on times divided by the window end t2 > 0, so sample times
+    whose squares underflow still give a well-posed fit.
+    """
+    _check_fit_window(fit_window, times[0], times[-1])
+    t1, t2 = fit_window
     mask = (times >= t1) & (times <= t2)
     if mask.sum() < 2:
         raise ValueError("fit window contains fewer than 2 samples")
     if not np.all(series[mask] > 0):
         raise ValueError("series must be positive over the fit window")
-    return float(np.polyfit(times[mask], np.log(series[mask]), 1)[0])
+    return float(np.polyfit(times[mask] / t2, np.log(series[mask]), 1)[0]) / t2
 
 
 def growth_rate_estimate(result: PropagationResult, fit_window: tuple[float, float]) -> float:

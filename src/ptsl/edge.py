@@ -229,17 +229,17 @@ def spectrum_reality(
     """Whether the truncated lattice keeps an entirely real spectrum.
 
     True iff the infinite lattice is in the unbroken phase and every
-    edge-classified candidate energy is real within ``REALITY_TOL``; extended
-    candidates belong to the (then real) continuous spectrum and candidates
-    outside the spectrum are immaterial.  ``records`` is the census of
+    edge-classified candidate energy has |Im E| at most ``REALITY_TOL``
+    times the lattice's largest |V_n| or |kappa_n|; extended candidates
+    belong to the (then real) continuous spectrum and candidates outside
+    the spectrum are immaterial.  ``records`` is the census of
     ``spec`` when the caller already has it, else it is computed here.
     """
     unbroken = diagnose_pt_phase(spec).unbroken
     if records is None:
         records = edge_spectrum(spec)
+    tol = REALITY_TOL * max(np.abs(spec.onsite).max(), np.abs(spec.hopping).max())
     offenders = tuple(
-        r.energy
-        for r in records
-        if r.classification is Classification.EDGE and abs(r.energy.imag) > REALITY_TOL
+        r.energy for r in records if r.classification is Classification.EDGE and abs(r.energy.imag) > tol
     )
     return RealityReport(real=unbroken and not offenders, offending=offenders)

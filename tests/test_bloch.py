@@ -21,7 +21,6 @@ from ptsl import (
     harper_family,
     max_growth_rate,
     period_matrix,
-    sweep,
 )
 from ptsl.bloch import _bloch_stack, _spectra
 
@@ -364,7 +363,7 @@ def test_threshold_validates_tolerance(tol):
 
 
 # ---------------------------------------------------------------------------
-# growth rate and sweep
+# growth rate
 # ---------------------------------------------------------------------------
 
 
@@ -395,22 +394,4 @@ def test_growth_rate_matches_complex_route(q, num_k):
 def test_growth_rate_positive_when_broken():
     sigma = max_growth_rate(BROKEN, num_k=128)
     assert sigma > 1e-3
-
-
-def test_sweep_rows_are_ordered_and_bounded_by_delta():
-    rows = sweep(
-        lambda q: harper_family(0.3, 1, q),
-        [3, 5, 6],
-        lambda_max=0.5,
-        sigma_lambda=0.3,
-        tol_lambda=1e-3,
-        num_k=64,
-    )
-    assert [row.param for row in rows] == [3, 5, 6]
-    assert all(row.lambda_c < 0.3 for row in rows)
-    assert all(row.sigma > 0 for row in rows)
-
-
-def test_sweep_empty_range():
-    assert sweep(lambda q: harper_family(0.3, 1, q), [], lambda_max=0.5, sigma_lambda=0.3) == []
 

@@ -65,10 +65,11 @@ def test_bands_single_band_uniform_lattice(tmp_path):
     assert abs(energies.max() - 2.0) < 1e-3
 
 
-def test_bands_usage_errors(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        run("bands", *HARPER_FLAGS, "--kpoints", "1", "--out", str(tmp_path / "x.csv"))
-    assert info.value.code == 2
+def test_bands_usage_errors(tmp_path, capsys):
+    # band_structure checks --kpoints; the CLI used to check it a second time
+    assert run("bands", *HARPER_FLAGS, "--kpoints", "1", "--out", str(tmp_path / "x.csv")) == 2
+    assert "need at least 2 k-points" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
     with pytest.raises(SystemExit) as info:
         run("bands", "--out", str(tmp_path / "x.csv"))
     assert info.value.code == 2
@@ -80,6 +81,28 @@ def test_bands_invalid_lattice_file(tmp_path):
     assert run("bands", "--lattice", str(bad), "--out", str(tmp_path / "x.csv")) == 2
     missing = tmp_path / "missing.json"
     assert run("bands", "--lattice", str(missing), "--out", str(tmp_path / "x.csv")) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("bands", ["--harper", "--delta", "0.3", "--lambda", "0.1", "--q", "6"]),
+        ("edges", ["--lambda", "0"]),
+        ("evolve", ["--harper"]),
+        ("threshold", ["--delta", "0.3", "--q", "6"]),
+        ("threshold", ["--delta", "0"]),
+    ],
+)
+def test_lattice_file_rejects_harper_flags(command, flags, tmp_path, capsys):
+    # the file used to win silently and the Harper flags were ignored
+    lattice = tmp_path / "l.json"
+    lattice.write_text(json.dumps({"q": 2, "onsite": [[0.5, 0.1], [0.5, -0.1]], "hopping": [1.0, 1.0]}))
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as info:
+        run(command, "--lattice", str(lattice), *flags, "--out", str(out))
+    assert info.value.code == 2
+    assert f"--lattice cannot be combined with {flags[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bands_near_float_limit_prints_no_warning(tmp_path):
@@ -169,10 +192,15 @@ def test_threshold_q_sweep(tmp_path):
     assert float(rows[0][1]) <= 1e-3  # period-4 threshold vanishes
 
 
-def test_threshold_rejects_bad_lambda_max():
-    with pytest.raises(SystemExit) as info:
-        run("threshold", "--delta", "0.3", "--q", "6", "--lambda-max", "0")
-    assert info.value.code == 2
+def test_threshold_rejects_bad_lambda_max(tmp_path, capsys):
+    # breaking_threshold checks --lambda-max; 0 used to print the usage line and nan not
+    out = tmp_path / "x.csv"
+    for value in ("0", "-1", "nan", "inf"):
+        assert run("threshold", "--delta", "0.3", "--q", "6", "--lambda-max", value) == 2
+        assert "lambda_max must be positive and finite" in capsys.readouterr().err
+        assert run("sweep", "--delta", "0.3", "--q-range", "3:4", "--lambda-max", value, "--out", str(out)) == 2
+        assert "lambda_max must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
     # threshold takes no strength: --lambda used to be ignored, and must not
     # be read as a prefix of --lambda-max; --harper used to be ignored too
     with pytest.raises(SystemExit) as info:
@@ -343,10 +371,10 @@ def test_evolve_outputs(tmp_path, capsys):
 def test_evolve_rejects_bad_tmax(tmp_path, capsys):
     # inf used to escape as an OverflowError, nan with a numpy message
     for tmax in ("0", "inf", "nan"):
-        with pytest.raises(SystemExit) as info:
-            run("evolve", *HARPER_FLAGS, "--tmax", tmax, "--out", str(tmp_path / "x.csv"))
-        assert info.value.code == 2
-        assert "--tmax must be positive and finite" in capsys.readouterr().err
+        for sites in ([], ["--sites", "16"]):
+            assert run("evolve", *HARPER_FLAGS, "--tmax", tmax, *sites, "--out", str(tmp_path / "x.csv")) == 2
+            assert "t_max must be positive and finite" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
 
 
 def test_evolve_rejects_zero_sites(tmp_path, capsys):
@@ -428,13 +456,31 @@ def test_import_loads_no_scipy_submodules(tmp_path):
     assert "scipy.sparse" in _imported_modules(evolve, tmp_path)
 
 
-def test_evolve_rejects_bad_window(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        run(
-            "evolve", *HARPER_FLAGS, "--tmax", "4", "--sites", "16",
-            "--fit-window", "oops", "--out", str(tmp_path / "x.csv"),
-        )
-    assert info.value.code == 2
+def test_evolve_rejects_bad_window(tmp_path, monkeypatch):
+    # the window used to be checked only after the whole propagation
+    def unreachable(*args, **kwargs):
+        raise AssertionError("propagated before checking --fit-window")
+
+    monkeypatch.setattr(cli, "propagate", unreachable)
+    for window in ("abc", "900:100", "0:2000", "-1:5"):
+        argv = ["evolve", *HARPER_FLAGS, "--tmax", "1000", "--fit-window", window, "--out", str(tmp_path / "x.csv")]
+        try:
+            code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2, window
+
+
+def test_evolve_fits_tiny_sample_times(tmp_path):
+    # ||H||_1 * t_max = 1 is admitted, but polyfit squared the sample times
+    # to 0 and exited 2 with LAPACK's "DLASCL parameter number 4"
+    out = tmp_path / "x.csv"
+    argv = ["--harper", "--delta", "1e165", "--lambda", "0", "--q", "2", "--tmax", "1e-165", "--samples", "20"]
+    assert run("evolve", *argv, "--out", str(out)) == 0
+    summary = json.loads((tmp_path / "x.summary.json").read_text())
+    for key in ("growth_rate_total_norm", "growth_rate_boundary"):
+        # the lattice is Hermitian, so neither rate may grow with ||H||_1 ~ 1e165
+        assert math.isfinite(summary[key]) and abs(summary[key]) < 1e-12 * 1e165, key
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +499,7 @@ def test_sweep_q_range(tmp_path):
     assert header == ["param", "lambda_c", "sigma"]
     assert [r[0] for r in rows] == ["3", "4", "5"]
     assert all(float(r[1]) < 0.3 for r in rows)
+    assert all(float(r[2]) > 0 for r in rows)  # each family is broken at sigma-lambda = delta
 
 
 def test_sweep_p_range(tmp_path):
@@ -640,3 +687,23 @@ def test_generated_commands_end_cleanly(data):
         assert code in (0, 1, 2), argv
         if code == 0:
             _assert_finite_outputs(workdir)
+
+
+# ---------------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------------
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``ptsl ...`` command in README.md's code blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```")[1::2]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.split()[1:] for line in lines if line.startswith("ptsl ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"bands", "threshold", "edges", "evolve", "sweep"}
+    for argv in commands:
+        assert cli._build_parser().parse_args(argv).command == argv[0], argv

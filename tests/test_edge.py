@@ -250,6 +250,20 @@ def test_reality_verdicts_match_census():
     assert len(report.offending) == 4
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12])
+@pytest.mark.parametrize("n0", [1, 2, 4, 5])
+def test_reality_tolerance_scales_with_the_lattice(n0, scale):
+    # an absolute 1e-9 used to call the scaled complex edge states real
+    base = harper(n0)
+    spec = SuperlatticeSpec(
+        onsite=tuple(scale * v for v in base.onsite), hopping=tuple(scale * k for k in base.hopping)
+    )
+    # the route check itself fails on scaled lattices, so the census skips it
+    report = spectrum_reality(spec, records=edge_spectrum(spec, route_check=False))
+    assert not report.real
+    assert report.offending
+
+
 def test_hermitian_truncation_is_real():
     assert spectrum_reality(harper(0, lam=0.0)).real
 

@@ -21,7 +21,8 @@ to ``eigvals``, on R when it has a centre and on H when not.  LAPACK's real
 solver returns each real eigenvalue of R with Im exactly 0, so a spectrum is
 exact when its lattice has a centre or is Hermitian, and unbroken then means
 every Im E is 0.  A non-Hermitian lattice without a centre (possible for
-JSON input) counts as unbroken when max |Im E| <= ``REALITY_TOL``.
+JSON input) counts as unbroken when max |Im E| <= ``REALITY_TOL`` times its
+largest |V_n| or |kappa_n|.
 
 Spectra are solved as stacks, one LAPACK call per chunk of k-points.  Since
 H(-k) = H(k)^T, the spectrum depends on k only through cos(kq): on the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ParametricLattice, SuperlatticeSpec, _doubled_centres
+from .lattice import ParametricLattice, SuperlatticeSpec, _doubled_centres, _energy_scale
 
 __all__ = [
     "BandStructure",
@@ -56,8 +57,8 @@ __all__ = [
 # spectrum computation independently of the number of k-points
 _CHUNK_BYTES = 128 * 1024
 
-# max |Im E| below which a non-Hermitian lattice without a parity centre
-# counts as real; every other spectrum is exact and needs no tolerance
+# max |Im E| / max(|V_n|, |kappa_n|) below which a non-Hermitian lattice
+# without a parity centre counts as real; every other spectrum is exact
 REALITY_TOL = 1e-9
 
 
@@ -142,11 +143,11 @@ def _spectra(onsite, hopping, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _phase(onsite, hopping, ks: np.ndarray, tol: float = REALITY_TOL):
     """Largest |Im E| of every lattice at every k, ``(S, len(ks))``, and the
     ``(S,)`` unbroken verdicts: every Im E is 0 for an exact spectrum, and
-    max |Im E| <= ``tol`` for any other.
+    max |Im E| <= ``tol`` times the lattice's :func:`_energy_scale` for any other.
     """
     values, exact = _spectra(onsite, hopping, ks)
     imag = np.max(np.abs(values.imag), axis=-1)
-    return imag, imag.max(axis=-1) <= np.where(exact, 0.0, tol)
+    return imag, imag.max(axis=-1) <= np.where(exact, 0.0, tol * _energy_scale(onsite, hopping))
 
 
 def _solved_rows(num_k: int) -> int:
@@ -190,15 +191,17 @@ def band_gaps(bands: BandStructure) -> list[tuple[float, float]]:
     """Gaps between consecutive band ranges on the real-energy axis.
 
     Band n occupies [min_k Re E_n(k), max_k Re E_n(k)] under the per-k (Re,
-    Im) sort; a gap is an interval wider than 1e-9 separating two
-    consecutive bands.  Meaningful for real (unbroken-phase) spectra.
+    Im) sort; a gap is an interval wider than 1e-9 times the largest |E|
+    separating two consecutive bands.  Meaningful for real (unbroken-phase)
+    spectra.
     """
     real = bands.energies.real
     lo = real.min(axis=0)
     hi = real.max(axis=0)
+    min_width = 1e-9 * np.abs(bands.energies).max()
     gaps = []
     for n in range(bands.q - 1):
-        if lo[n + 1] - hi[n] > 1e-9:
+        if lo[n + 1] - hi[n] > min_width:
             gaps.append((float(hi[n]), float(lo[n + 1])))
     return gaps
 
@@ -226,7 +229,7 @@ def diagnose_pt_phase(
     ``guard_points > 0`` additionally scans a uniform interior grid so any
     deviation from the two-point criterion would be flagged.  A lattice with
     a parity centre or without gain and loss is unbroken iff every Im E is
-    exactly 0; ``tol`` bounds max |Im E| only for any other lattice.
+    exactly 0; for any other ``tol`` bounds max |Im E| / max(|V_n|, |kappa_n|).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -308,12 +311,13 @@ def max_growth_rate(spec: SuperlatticeSpec, num_k: int = 256) -> float:
     """Largest Im E over the sampled bands; 0 in the unbroken phase.
 
     An exact spectrum of the unbroken phase has every Im E exactly 0; for
-    any other a maximum at or below ``REALITY_TOL`` is clipped to 0.
+    any other a maximum at or below ``REALITY_TOL`` times the lattice's
+    largest |V_n| or |kappa_n| is clipped to 0.
     """
     if num_k < 2:
         raise ValueError("need at least 2 k-points")
     ks = _k_grid(spec.q, num_k)[: _solved_rows(num_k)]
     values, exact = _spectra([spec.onsite], spec.hopping, ks)
     sigma = float(np.max(values.imag))
-    limit = 0.0 if exact[0] else REALITY_TOL
+    limit = 0.0 if exact[0] else REALITY_TOL * _energy_scale(spec.onsite, spec.hopping)
     return 0.0 if sigma <= limit else sigma

@@ -11,7 +11,8 @@ Each subcommand returns the files it wrote, and ``main`` gives each of them a
 the command, its full parameter set, the tool version and wall-clock duration;
 re-running a command with the recorded parameters reproduces the data files
 byte for byte.  Exit codes: 0 success, 1 numerical failure, 2 bad usage or
-invalid lattice.
+invalid lattice: argparse reports a malformed command line under the
+subcommand's usage, and ``main`` prints any other ``ValueError`` as ``error: ...``.
 """
 
 from __future__ import annotations
@@ -38,15 +39,7 @@ from .dynamics import (
     single_site_excitation,
 )
 from .edge import edge_spectrum, spectrum_reality
-from .lattice import (
-    HarperParams,
-    LatticeError,
-    ParametricLattice,
-    build_harper,
-    family_from_json,
-    harper_family,
-    spec_from_json,
-)
+from .lattice import LatticeError, ParametricLattice, family_from_json, harper_family
 from .numerics import NumericsError
 
 __all__ = ["main"]
@@ -100,64 +93,52 @@ def _write_manifest(command: str, params: dict, outputs: list[Path], started: fl
         path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _add_family_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta", type=float, default=None, help="cosine amplitude")
-    parser.add_argument("--p", type=int, default=1)
-    parser.add_argument("--q", type=int, default=None)
-    parser.add_argument("--n0", type=int, default=0, help="pattern anchor site")
+def _add_family_args(command: argparse.ArgumentParser) -> None:
+    command.add_argument("--delta", type=float, default=None, help="cosine amplitude")
+    command.add_argument("--p", type=int, default=1)
+    command.add_argument("--q", type=int, default=None)
+    command.add_argument("--n0", type=int, default=0, help="pattern anchor site")
 
 
-def _add_lattice_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lattice", metavar="FILE", help="lattice JSON file")
-    parser.add_argument("--harper", action="store_true", help="use the Harper shorthand flags")
-    _add_family_args(parser)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None, help="sine amplitude")
+def _add_lattice_args(command: argparse.ArgumentParser) -> None:
+    source = command.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lattice", metavar="FILE", help="lattice JSON file")
+    source.add_argument("--harper", action="store_true", help="use the Harper shorthand flags")
+    _add_family_args(command)
+    command.add_argument("--lambda", dest="lam", type=float, default=None, help="sine amplitude")
 
 
 # the Harper flags that a lattice file would override; --p and --n0 have defaults
-_HARPER_FLAGS = {"harper": "--harper", "delta": "--delta", "lam": "--lambda", "q": "--q"}
+_HARPER_FLAGS = {"delta": "--delta", "lam": "--lambda", "q": "--q"}
 
 
-def _read_lattice(args, parser: argparse.ArgumentParser) -> dict:
-    """The JSON of ``--lattice FILE``; a Harper flag given beside it is a usage error."""
-    given = [
-        flag
-        for dest, flag in _HARPER_FLAGS.items()
-        if (value := vars(args).get(dest)) is not None and value is not False  # 0 is a given value
-    ]
-    if given:
-        parser.error(f"--lattice cannot be combined with {', '.join(given)}")
-    with open(args.lattice, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _load_spec(args, parser: argparse.ArgumentParser):
-    if args.lattice:
-        return spec_from_json(_read_lattice(args, parser))
-    if args.harper:
-        if args.delta is None or args.lam is None or args.q is None:
-            parser.error("--harper needs --delta, --lambda and --q")
-        return build_harper(
-            HarperParams(delta=args.delta, lam=args.lam, p=args.p, q=args.q, n0=args.n0)
-        )
-    parser.error("provide --lattice FILE or --harper with its flags")
-
-
-def _load_family(args, parser: argparse.ArgumentParser) -> ParametricLattice:
-    if args.lattice:
-        return family_from_json(_read_lattice(args, parser))
+def _load_family(args) -> tuple[ParametricLattice, float | None]:
+    """The family of ``--lattice FILE`` or of the Harper flags, and the strength given for it."""
+    if args.lattice is not None:
+        given = [flag for dest, flag in _HARPER_FLAGS.items() if vars(args).get(dest) is not None]
+        if given:
+            raise ValueError(f"--lattice cannot be combined with {', '.join(given)}")
+        with open(args.lattice, encoding="utf-8") as fh:
+            return family_from_json(json.load(fh))
     if args.delta is None or args.q is None:
-        parser.error("provide --lattice FILE or --delta and --q")
-    return harper_family(args.delta, args.p, args.q, args.n0)
+        raise ValueError("provide --lattice FILE or --delta and --q")
+    return harper_family(args.delta, args.p, args.q, args.n0), vars(args).get("lam")
 
 
-def _parse_range(text: str, parser: argparse.ArgumentParser) -> range:
+def _load_spec(args):
+    if args.harper and None in (args.delta, args.lam, args.q):
+        raise ValueError("--harper needs --delta, --lambda and --q")
+    family, lam = _load_family(args)
+    return family.at(lam)
+
+
+def _parse_range(text: str) -> range:
     try:
         lo, hi = (int(part) for part in text.split(":"))
     except ValueError:
-        parser.error(f"range must look like a:b, got {text!r}")
+        raise ValueError(f"range must look like a:b, got {text!r}") from None
     if lo > hi:
-        parser.error(f"range {text!r} is empty: its start exceeds its end")
+        raise ValueError(f"range {text!r} is empty: its start exceeds its end")
     return range(lo, hi + 1)
 
 
@@ -166,8 +147,8 @@ def _parse_range(text: str, parser: argparse.ArgumentParser) -> range:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bands(args, parser) -> list[Path]:
-    spec = _load_spec(args, parser)
+def _cmd_bands(args) -> list[Path]:
+    spec = _load_spec(args)
     bands = band_structure(spec, args.kpoints)
     out = Path(args.out)
     with out.open("w", encoding="utf-8", newline="\n") as fh:
@@ -189,19 +170,17 @@ def _lambda_c(family: ParametricLattice, args) -> float:
     return math.inf if result.never_broken else result.lambda_c
 
 
-def _cmd_threshold(args, parser) -> list[Path]:
+def _cmd_threshold(args) -> list[Path]:
     if args.q_range is not None:
-        if args.lattice:
-            parser.error("--q-range sweeps the Harper family; it cannot be combined with --lattice")
-        qs = _parse_range(args.q_range, parser)
+        qs = _parse_range(args.q_range)
         if args.delta is None:
-            parser.error("sweeping q needs --delta")
+            raise ValueError("sweeping q needs --delta")
         rows = [(str(q), _lambda_c(harper_family(args.delta, args.p, q, args.n0), args)) for q in qs]
         out = Path(args.out or "threshold_sweep.csv")
         _write_table(out, "param,lambda_c", rows)
         print(f"wrote {len(rows)} rows to {out}")
         return [out]
-    family = _load_family(args, parser)
+    family, _ = _load_family(args)
     result = breaking_threshold(family, args.lambda_max, tol_lambda=args.tol)
     if result.never_broken:
         print(f"no symmetry breaking up to lambda_max = {args.lambda_max}")
@@ -217,8 +196,8 @@ def _cmd_threshold(args, parser) -> list[Path]:
     return [out]
 
 
-def _cmd_edges(args, parser) -> list[Path]:
-    spec = _load_spec(args, parser)
+def _cmd_edges(args) -> list[Path]:
+    spec = _load_spec(args)
     records = edge_spectrum(spec)
     reality = spectrum_reality(spec, records=records)
     print("re_E      im_E      |s11|    class            loc_length")
@@ -240,13 +219,13 @@ def _cmd_edges(args, parser) -> list[Path]:
     return [out]
 
 
-def _cmd_evolve(args, parser) -> list[Path]:
-    spec = _load_spec(args, parser)
+def _cmd_evolve(args) -> list[Path]:
+    spec = _load_spec(args)
     if args.fit_window:
         try:
             t1, t2 = (float(part) for part in args.fit_window.split(":"))
         except ValueError:
-            parser.error(f"--fit-window must look like t1:t2, got {args.fit_window!r}")
+            raise ValueError(f"--fit-window must look like t1:t2, got {args.fit_window!r}") from None
         # checked before the run, which a long --tmax makes slow
         _check_fit_window((t1, t2), 0.0, args.tmax)
     else:
@@ -279,25 +258,23 @@ def _cmd_evolve(args, parser) -> list[Path]:
     return [out, summary_path]
 
 
-def _cmd_sweep(args, parser) -> list[Path]:
-    if (args.q_range is None) == (args.p_range is None):
-        parser.error("provide exactly one of --q-range or --p-range")
+def _cmd_sweep(args) -> list[Path]:
     if args.delta is None:
-        parser.error("sweep needs --delta")
+        raise ValueError("sweep needs --delta")
     if args.sigma_lambda == "delta":
         sigma_lambda = args.delta
     else:
         try:
             sigma_lambda = float(args.sigma_lambda)
         except ValueError:
-            parser.error(f"--sigma-lambda must be a number or 'delta', got {args.sigma_lambda!r}")
+            raise ValueError(f"--sigma-lambda must be a number or 'delta', got {args.sigma_lambda!r}") from None
     if args.q_range is not None:
-        params = _parse_range(args.q_range, parser)
+        params = _parse_range(args.q_range)
         make_family = lambda q: harper_family(args.delta, args.p, q, args.n0)  # noqa: E731
     else:
         if args.q is None:
-            parser.error("--p-range needs a fixed --q")
-        params = _parse_range(args.p_range, parser)
+            raise ValueError("--p-range needs a fixed --q")
+        params = _parse_range(args.p_range)
         make_family = lambda p: harper_family(args.delta, p, args.q, args.n0)  # noqa: E731
     rows = []
     for param in params:
@@ -338,11 +315,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bands)
 
     p = add("threshold", help="symmetry-breaking threshold (optionally swept over q)")
-    p.add_argument("--lattice", metavar="FILE", help="lattice JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--lattice", metavar="FILE", help="lattice JSON file")
     _add_family_args(p)
     p.add_argument("--lambda-max", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--q-range", metavar="A:B", default=None)
+    source.add_argument("--q-range", metavar="A:B", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_threshold)
 
@@ -363,8 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", help="threshold and growth rate over a q or p range")
     _add_family_args(p)
-    p.add_argument("--q-range", metavar="A:B", default=None)
-    p.add_argument("--p-range", metavar="A:B", default=None)
+    span = p.add_mutually_exclusive_group(required=True)
+    span.add_argument("--q-range", metavar="A:B", default=None)
+    span.add_argument("--p-range", metavar="A:B", default=None)
     p.add_argument("--sigma-lambda", default="delta", help="strength for the growth rate")
     p.add_argument("--lambda-max", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-4)
@@ -380,7 +359,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        outputs = args.func(args, parser)
+        outputs = args.func(args)
         _write_manifest(args.command, _params(args), outputs, started)
     except (LatticeError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

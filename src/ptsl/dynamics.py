@@ -147,11 +147,12 @@ def propagate(
 
 
 def _check_fit_window(fit_window: tuple[float, float], start: float, end: float) -> None:
-    """Reject a fit window unless 0 <= t1 < t2 and [t1, t2] lies in [start, end]."""
+    """Reject a fit window unless 0 <= t1 < t2 and [t1, t2] lies in [start, end] to 1e-12 * end."""
     t1, t2 = fit_window
     if not t2 > t1 or t1 < 0:
         raise ValueError(f"invalid fit window [{t1}, {t2}]")
-    if t1 < start - 1e-12 or t2 > end + 1e-12:
+    slack = 1e-12 * end
+    if t1 < start - slack or t2 > end + slack:
         raise ValueError(f"fit window [{t1}, {t2}] outside sampled range [{start}, {end}]")
 
 

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .bloch import REALITY_TOL, diagnose_pt_phase
-from .lattice import SuperlatticeSpec
+from .lattice import SuperlatticeSpec, _energy_scale
 from .numerics import NumericsError, eig_complex, poly_roots
 from .transfer import period_matrix, site_matrix, symbolic_period_matrix
 
@@ -238,7 +238,7 @@ def spectrum_reality(
     unbroken = diagnose_pt_phase(spec).unbroken
     if records is None:
         records = edge_spectrum(spec)
-    tol = REALITY_TOL * max(np.abs(spec.onsite).max(), np.abs(spec.hopping).max())
+    tol = REALITY_TOL * _energy_scale(spec.onsite, spec.hopping)
     offenders = tuple(
         r.energy for r in records if r.classification is Classification.EDGE and abs(r.energy.imag) > tol
     )

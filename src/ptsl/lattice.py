@@ -27,7 +27,6 @@ __all__ = [
     "harper_family",
     "check_pt_symmetry",
     "family_from_json",
-    "spec_from_json",
 ]
 
 
@@ -181,6 +180,15 @@ def check_pt_symmetry(spec: SuperlatticeSpec) -> PTSymmetryReport:
     return PTSymmetryReport(symmetric=True, center=doubled / 2.0)
 
 
+def _energy_scale(onsite, hopping) -> np.ndarray:
+    """Largest |V_n| or |kappa_n| of each on-site row ``(..., q)`` sharing ``hopping``.
+
+    Tolerances on energies are this scale times a relative factor, so a
+    verdict does not change when a lattice is multiplied by a constant.
+    """
+    return np.maximum(np.abs(onsite).max(axis=-1), np.abs(hopping).max())
+
+
 def _doubled_centres(onsite: np.ndarray, hopping) -> np.ndarray:
     """Twice the smallest parity center of each on-site row, or -1 if none.
 
@@ -188,11 +196,11 @@ def _doubled_centres(onsite: np.ndarray, hopping) -> np.ndarray:
     ``hopping``.  With 0-based site j, the center c = d/2 maps site j to
     ``(d - 2 - j) mod q`` and bond j to ``(d - 3 - j) mod q``; all S x 2q
     candidates are tested in one comparison, within 1e-12 times the row's
-    largest |V| or |kappa|.
+    :func:`_energy_scale`.
     """
     q = onsite.shape[-1]
     hopping = np.asarray(hopping, dtype=float)
-    limit = 1e-12 * np.maximum(np.abs(onsite).max(axis=-1), np.abs(hopping).max())[:, None, None]
+    limit = 1e-12 * _energy_scale(onsite, hopping)[:, None, None]
     doubled = np.arange(2 * q)
     partner = (doubled[:, None] - 2 - np.arange(q)) % q
     # near the float limit a difference may overflow to inf; inf exceeds
@@ -209,30 +217,30 @@ def _doubled_centres(onsite: np.ndarray, hopping) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _harper_params(h) -> HarperParams:
-    try:
-        return HarperParams(
-            delta=float(h["delta"]),
-            lam=float(h.get("lambda", 0.0)),
-            p=int(h["p"]),
-            q=int(h["q"]),
-            n0=int(h.get("n0", 0)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise LatticeError(f"invalid harper shorthand: {exc}") from exc
+def family_from_json(obj: dict) -> tuple[ParametricLattice, float]:
+    """Parse the lattice JSON schema into a family and the strength it names.
 
-
-def spec_from_json(obj: dict) -> SuperlatticeSpec:
-    """Parse the lattice JSON schema.
-
-    Either an explicit lattice ``{"q": int, "onsite": [[re, im], ...],
-    "hopping": [real, ...]}`` or the shorthand ``{"harper": {"delta": r,
-    "lambda": r, "p": int, "q": int, "n0": int}}``.
+    An explicit lattice ``{"q": int, "onsite": [[re, im], ...], "hopping":
+    [real, ...]}`` is the family ``V(lam) = Re V + i lam Im V`` at
+    ``lam = 1``, i.e. its Im V is the unit-strength gain/loss profile.  The
+    shorthand ``{"harper": {"delta": r, "lambda": r, "p": int, "q": int,
+    "n0": int}}`` is :func:`harper_family` at its ``"lambda"`` (default 0).
     """
     if not isinstance(obj, dict):
         raise LatticeError("lattice JSON must be an object")
     if "harper" in obj:
-        return build_harper(_harper_params(obj["harper"]))
+        h = obj["harper"]
+        try:
+            params = HarperParams(
+                delta=float(h["delta"]),
+                lam=float(h.get("lambda", 0.0)),
+                p=int(h["p"]),
+                q=int(h["q"]),
+                n0=int(h.get("n0", 0)),
+            )
+        except (KeyError, TypeError) as exc:
+            raise LatticeError(f"invalid harper shorthand: {exc}") from exc
+        return harper_family(params.delta, params.p, params.q, params.n0), params.lam
     try:
         q = int(obj["q"])
         onsite = tuple(complex(re, im) for re, im in obj["onsite"])
@@ -241,22 +249,10 @@ def spec_from_json(obj: dict) -> SuperlatticeSpec:
         raise LatticeError(f"invalid lattice JSON: {exc}") from exc
     if len(onsite) != q:
         raise LatticeError(f"q={q} but {len(onsite)} on-site energies given")
-    return SuperlatticeSpec(onsite, hopping)
-
-
-def family_from_json(obj: dict) -> ParametricLattice:
-    """Parse the lattice JSON schema as a family over the non-Hermitian strength.
-
-    The Harper shorthand gives :func:`harper_family` (its ``"lambda"`` is
-    ignored); an explicit lattice is read as ``V(lam) = Re V + i lam Im V``,
-    i.e. its Im V is the unit-strength gain/loss profile.
-    """
-    if isinstance(obj, dict) and "harper" in obj:
-        h = _harper_params(obj["harper"])
-        return harper_family(h.delta, h.p, h.q, h.n0)
-    spec = spec_from_json(obj)
-    return ParametricLattice(
+    spec = SuperlatticeSpec(onsite, hopping)  # validates the period
+    family = ParametricLattice(
         onsite_real=tuple(v.real for v in spec.onsite),
         onsite_imag=tuple(v.imag for v in spec.onsite),
         hopping=spec.hopping,
     )
+    return family, 1.0

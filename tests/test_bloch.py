@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import multiset_distance, pt_specs, random_pt_spec
 from ptsl import (
     HarperParams,
+    ParametricLattice,
     SuperlatticeSpec,
     band_gaps,
     band_structure,
@@ -156,6 +157,28 @@ def test_lattice_without_centre_takes_complex_route():
     assert diagnosis.unbroken and diagnosis.max_abs_imag > 0
 
 
+def _scaled(spec: SuperlatticeSpec, scale: float) -> SuperlatticeSpec:
+    return SuperlatticeSpec(tuple(scale * v for v in spec.onsite), tuple(scale * k for k in spec.hopping))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12])
+def test_lattice_without_centre_is_judged_relative_to_its_scale(scale):
+    # |Im E| was compared with an absolute 1e-9: scaled by 1e-9 this broken
+    # lattice read unbroken, with growth rate 0 and no threshold up to 1
+    spec = SuperlatticeSpec((0.1 + 0.05j, -0.2 + 0.01j, 0.3 - 0.02j), (1.0, 0.7, 1.3))
+    assert not check_pt_symmetry(spec).symmetric
+    scaled = _scaled(spec, scale)
+    diagnosis = diagnose_pt_phase(scaled)
+    assert not diagnosis.unbroken
+    assert diagnosis.max_abs_imag / scale == pytest.approx(diagnose_pt_phase(spec).max_abs_imag, rel=1e-9)
+    assert max_growth_rate(scaled, 64) / scale == pytest.approx(max_growth_rate(spec, 64), rel=1e-9)
+    family = ParametricLattice(
+        [v.real for v in scaled.onsite], [v.imag for v in scaled.onsite], scaled.hopping
+    )
+    result = breaking_threshold(family, lambda_max=1.0)
+    assert not result.never_broken and result.lambda_c < 1e-4
+
+
 def test_hermitian_lattice_without_centre_is_exact():
     spec = SuperlatticeSpec((0.1, 0.2, 0.5, -0.3), (1.0, 0.7, 1.0, 1.3))
     assert not check_pt_symmetry(spec).symmetric
@@ -204,6 +227,15 @@ def test_hermitian_harper_bands_real_with_five_gaps():
     assert bands.max_abs_imag < 1e-12
     gaps = band_gaps(bands)
     assert len(gaps) == 5
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-9])
+def test_gaps_are_judged_relative_to_the_bands(scale):
+    # gaps had to be wider than an absolute 1e-9: scaled by 1e-8 only 2 of
+    # the 5 were left, and by 1e-9 none
+    gaps = band_gaps(band_structure(_scaled(HERMITIAN, scale), 128))
+    expected = band_gaps(band_structure(HERMITIAN, 128))
+    assert np.allclose(np.asarray(gaps) / scale, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_unbroken_lattice_has_real_bands():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import ptsl.cli as cli
 import ptsl.edge as edge
 from conftest import pt_specs
-from ptsl import NumericsError
+from ptsl import NumericsError, family_from_json, harper_family
 
 
 def run(*argv) -> int:
@@ -94,14 +95,24 @@ def test_bands_invalid_lattice_file(tmp_path):
     ],
 )
 def test_lattice_file_rejects_harper_flags(command, flags, tmp_path, capsys):
-    # the file used to win silently and the Harper flags were ignored
+    # the file used to win silently and the Harper flags were ignored; argparse
+    # rejects --harper, the loader any Harper value, without a usage line
     lattice = tmp_path / "l.json"
     lattice.write_text(json.dumps({"q": 2, "onsite": [[0.5, 0.1], [0.5, -0.1]], "hopping": [1.0, 1.0]}))
     out = tmp_path / "x.out"
-    with pytest.raises(SystemExit) as info:
-        run(command, "--lattice", str(lattice), *flags, "--out", str(out))
-    assert info.value.code == 2
-    assert f"--lattice cannot be combined with {flags[0]}" in capsys.readouterr().err
+    argv = [command, "--lattice", str(lattice), *flags, "--out", str(out)]
+    if flags[0] == "--harper":
+        with pytest.raises(SystemExit) as info:
+            run(*argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: ptsl {command}")
+        assert "argument --harper: not allowed with argument --lattice" in err
+    else:
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        given = ", ".join(flag for flag in flags if flag.startswith("--"))
+        assert err == f"error: --lattice cannot be combined with {given}\n"
     assert not out.exists()
 
 
@@ -255,10 +266,8 @@ def test_threshold_huge_delta_is_unbroken_at_zero(capsys):
 
 def test_threshold_empty_range(tmp_path, capsys):
     out = tmp_path / "t.csv"
-    with pytest.raises(SystemExit) as info:
-        run("threshold", "--delta", "0.3", "--q-range", "5:3", "--out", str(out))
-    assert info.value.code == 2
-    assert "range '5:3' is empty" in capsys.readouterr().err
+    assert run("threshold", "--delta", "0.3", "--q-range", "5:3", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: range '5:3' is empty: its start exceeds its end\n"
     assert not out.exists()
 
 
@@ -283,7 +292,9 @@ def test_threshold_q_range_rejects_lattice(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         run("threshold", "--lattice", str(lattice), "--delta", "0.3", "--q-range", "6:6", "--out", str(out))
     assert info.value.code == 2
-    assert "--q-range sweeps the Harper family; it cannot be combined with --lattice" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ptsl threshold")
+    assert "argument --q-range: not allowed with argument --lattice" in err
     assert not out.exists()
 
 
@@ -471,6 +482,15 @@ def test_evolve_rejects_bad_window(tmp_path, monkeypatch):
         assert code == 2, window
 
 
+def test_evolve_rejects_window_past_a_short_run(tmp_path, capsys):
+    # the window's end was allowed an absolute 1e-12 past --tmax, here 50 runs long
+    out = tmp_path / "x.csv"
+    argv = [*HARPER_FLAGS, "--tmax", "1e-14", "--samples", "10", "--fit-window", "0:5e-13"]
+    assert run("evolve", *argv, "--out", str(out)) == 2
+    assert "fit window [0.0, 5e-13] outside sampled range [0.0, 1e-14]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_fits_tiny_sample_times(tmp_path):
     # ||H||_1 * t_max = 1 is admitted, but polyfit squared the sample times
     # to 0 and exited 2 with LAPACK's "DLASCL parameter number 4"
@@ -516,30 +536,31 @@ def test_sweep_p_range(tmp_path):
 def test_sweep_empty_range(tmp_path, capsys):
     # used to write a CSV with only its header and exit 0
     out = tmp_path / "sweep.csv"
-    with pytest.raises(SystemExit) as info:
-        run("sweep", "--delta", "0.3", "--q-range", "5:4", "--out", str(out))
-    assert info.value.code == 2
-    assert "range '5:4' is empty" in capsys.readouterr().err
+    assert run("sweep", "--delta", "0.3", "--q-range", "5:4", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: range '5:4' is empty: its start exceeds its end\n"
     assert not out.exists()
-    with pytest.raises(SystemExit) as info:
-        run("sweep", "--delta", "0.3", "--p-range", "3:1", "--q", "5", "--out", str(out))
-    assert info.value.code == 2
+    assert run("sweep", "--delta", "0.3", "--p-range", "3:1", "--q", "5", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: range '3:1' is empty: its start exceeds its end\n"
     assert not out.exists()
 
 
-def test_sweep_usage_errors(tmp_path):
+def test_sweep_usage_errors(tmp_path, capsys):
+    # argparse requires one of --q-range and --p-range, under the usage of sweep
     with pytest.raises(SystemExit) as info:
         run("sweep", "--delta", "0.3", "--out", str(tmp_path / "x.csv"))
     assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        run("sweep", "--q-range", "3:5", "--out", str(tmp_path / "x.csv"))
-    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ptsl sweep")
+    assert "one of the arguments --q-range --p-range is required" in err
+    assert run("sweep", "--q-range", "3:5", "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == "error: sweep needs --delta\n"
     with pytest.raises(SystemExit) as info:
         run(
             "sweep", "--delta", "0.3", "--q-range", "3:5", "--p-range", "1:2",
             "--out", str(tmp_path / "x.csv"),
         )
     assert info.value.code == 2
+    assert "argument --p-range: not allowed with argument --q-range" in capsys.readouterr().err
     # the growth rate's strength is --sigma-lambda; --lambda used to be ignored
     with pytest.raises(SystemExit) as info:
         run("sweep", "--delta", "0.3", "--q-range", "3:5", "--lambda", "0.1", "--out", str(tmp_path / "x.csv"))
@@ -694,10 +715,13 @@ def test_generated_commands_end_cleanly(data):
 # ---------------------------------------------------------------------------
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_commands() -> list[list[str]]:
     """Every ``ptsl ...`` command in README.md's code blocks, continuations joined."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = readme.split("```")[1::2]
+    blocks = _readme().split("```")[1::2]
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     return [line.split()[1:] for line in lines if line.startswith("ptsl ")]
 
@@ -707,3 +731,14 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == {"bands", "threshold", "edges", "evolve", "sweep"}
     for argv in commands:
         assert cli._build_parser().parse_args(argv).command == argv[0], argv
+
+
+def test_readme_lattices_load():
+    # the explicit lattice of the json block and the inline harper shorthand
+    readme = _readme()
+    explicit = readme.split("```json")[1].split("```")[0]
+    shorthand = re.search(r'`(\{"harper": .*?\}\})`', readme).group(1)
+    family, lam = family_from_json(json.loads(explicit))
+    assert lam == 1.0 and family.q == 2
+    family, lam = family_from_json(json.loads(shorthand))
+    assert lam == 0.134 and family == harper_family(0.3, 1, 6, 0)

@@ -14,8 +14,8 @@ from ptsl import (
     SuperlatticeSpec,
     build_harper,
     check_pt_symmetry,
+    family_from_json,
     harper_family,
-    spec_from_json,
 )
 
 
@@ -200,18 +200,22 @@ def test_centre_test_near_float_limit_warns_nothing():
 def test_json_roundtrip():
     spec = SuperlatticeSpec((0.1 + 0.2j, -0.3), (1.0, -0.5))
     obj = {"q": 2, "onsite": [[0.1, 0.2], [-0.3, 0.0]], "hopping": [1.0, -0.5]}
-    assert spec_from_json(json.loads(json.dumps(obj))) == spec
+    family, lam = family_from_json(json.loads(json.dumps(obj)))
+    assert lam == 1.0
+    assert family.at(lam) == spec
 
 
 def test_json_harper_shorthand():
     obj = {"harper": {"delta": 0.3, "lambda": 0.134, "p": 1, "q": 6, "n0": 1}}
-    assert spec_from_json(obj) == build_harper(HarperParams(0.3, 0.134, 1, 6, 1))
+    family, lam = family_from_json(obj)
+    assert family == harper_family(0.3, 1, 6, 1)
+    assert family.at(lam) == build_harper(HarperParams(0.3, 0.134, 1, 6, 1))
 
 
 def test_json_validation():
     with pytest.raises(LatticeError):
-        spec_from_json({"q": 2, "onsite": [[0, 0]], "hopping": [1.0, 1.0]})
+        family_from_json({"q": 2, "onsite": [[0, 0]], "hopping": [1.0, 1.0]})
     with pytest.raises(LatticeError):
-        spec_from_json({"harper": {"delta": 0.3}})
+        family_from_json({"harper": {"delta": 0.3}})
     with pytest.raises(LatticeError):
-        spec_from_json([1, 2, 3])
+        family_from_json([1, 2, 3])

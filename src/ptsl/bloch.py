@@ -28,6 +28,31 @@ Spectra are solved as stacks, one LAPACK call per chunk of k-points.  Since
 H(-k) = H(k)^T, the spectrum depends on k only through cos(kq): on the
 uniform grid ``_k_grid`` row j mirrors row N - j, so bands and growth rates
 solve only rows 0..N//2.
+
+The Harper lattice at lambda = delta has a growth rate in closed form
+(Chambers, Phys. Rev. 140, A135 (1965)).  Write V_n = A exp(i theta_n) +
+B exp(-i theta_n) with A, B = (delta +- lambda)/2 and theta_n =
+2 pi p (n - n0)/q.  Shifting every theta_n by a common phase makes the
+period's transfer-matrix trace tr S(E) a trigonometric polynomial of degree
+at most q in that phase; relabelling the sites by one shifts the phase by
+2 pi p/q and leaves the trace unchanged, so for p coprime to q only the
+harmonics 0 and +-q survive.  At lambda = delta, B = 0 and A = delta: a
+term of harmonic 0 pairs each A with a B, so only the free chain's term is
+left, and harmonic q is the term of the product V_1 ... V_q.  With unit
+hoppings and E = -2 cos(phi), tr S(E) = 2 cos(q phi) + (-1)^(q+1) delta^q,
+and the Bloch condition tr S(E) = 2 cos(kq) gives
+
+    E_j(k) = -2 cos((arccos(cos(kq) + (-delta)^q / 2) + 2 pi j) / q),
+    j = 0..q-1,
+
+the same for every p and n0.  Im E is largest at the band edge where the
+argument of arccos leaves [-1, 1] the most: k = 0 for even q and k = -pi/q
+for odd q.  There arccos = i eta (plus pi for odd q) with eta = acosh(1 +
+delta^q / 2), and max Im E = 2 sinh(eta/q) max_j |sin((2j + [q odd]) pi/q)|.
+:func:`harper_growth_rate` evaluates this on the k-grid of
+:func:`max_growth_rate` without cancellation, where the eigenvalues of the
+nearly defective Bloch matrices are rounding noise from q ~ 24 on.  For
+q <= 2 every sin(theta_n) is 0, so the lattice is Hermitian and does not grow.
 """
 
 from __future__ import annotations
@@ -38,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ParametricLattice, SuperlatticeSpec, _doubled_centres, _energy_scale
+from .lattice import ParametricLattice, SuperlatticeSpec, _doubled_centres, _energy_scale, harper_family
 
 __all__ = [
     "BandStructure",
@@ -50,6 +75,7 @@ __all__ = [
     "diagnose_pt_phase",
     "breaking_threshold",
     "max_growth_rate",
+    "harper_growth_rate",
 ]
 
 
@@ -321,3 +347,33 @@ def max_growth_rate(spec: SuperlatticeSpec, num_k: int = 256) -> float:
     sigma = float(np.max(values.imag))
     limit = 0.0 if exact[0] else REALITY_TOL * _energy_scale(spec.onsite, spec.hopping)
     return 0.0 if sigma <= limit else sigma
+
+
+def harper_growth_rate(delta: float, q: int, num_k: int = 256) -> float:
+    """:func:`max_growth_rate` of a Harper lattice at lambda = delta, in closed form.
+
+    The maximum of Im E over the same k-grid, for any p and n0 (module
+    docstring).  The grid point nearest the band edge lies pi m/(q num_k)
+    from it, with m = 1 for even q and odd ``num_k`` and m = 0 otherwise.
+    With h = delta^(q/2) / 2 and s = sin(pi m / (2 num_k)) there,
+    eta = 2 asinh(sqrt((h - s)(h + s))), which neither cancels nor
+    underflows where delta^q / 2 would.  Bad input raises what
+    ``max_growth_rate(harper_family(delta, 1, q).at(delta), num_k)`` raises.
+    """
+    harper_family(delta, 1, q).at(delta)  # checks delta and q with the lattice's own messages
+    if num_k < 2:
+        raise ValueError("need at least 2 k-points")
+    if q <= 2:
+        return 0.0
+    odd = q % 2
+    m = 1 if not odd and num_k % 2 else 0
+    s = math.sin(math.pi * m / (2 * num_k))
+    try:
+        h = 0.5 * delta ** (q / 2)
+    except OverflowError:  # asinh(h) = log(2h) to the last bit long before h overflows
+        eta = q * math.log(delta)
+    else:
+        if h <= s:
+            return 0.0
+        eta = 2.0 * math.asinh(math.sqrt(h - s) * math.sqrt(h + s))
+    return 2.0 * math.sinh(eta / q) * max(abs(math.sin((2 * j + odd) * math.pi / q)) for j in range(q))

@@ -4,15 +4,17 @@ Subcommands map one-to-one onto the analyses: ``bands`` (band-structure CSV
 plus gap summary), ``threshold`` (symmetry-breaking point, optionally swept
 over q), ``edges`` (truncation census with spectrum verdict), ``evolve``
 (time propagation with growth-rate summary) and ``sweep`` (threshold and
-growth rate over a q or p range).
+growth rate over a q or p range; at ``--sigma-lambda`` equal to ``--delta``
+the growth rate is :func:`ptsl.bloch.harper_growth_rate`'s closed form).
 
 Each subcommand returns the files it wrote, and ``main`` gives each of them a
 ``<name>.manifest.json`` sibling once the command has succeeded, recording
 the command, its full parameter set, the tool version and wall-clock duration;
 re-running a command with the recorded parameters reproduces the data files
-byte for byte.  Exit codes: 0 success, 1 numerical failure, 2 bad usage or
-invalid lattice: argparse reports a malformed command line under the
-subcommand's usage, and ``main`` prints any other ``ValueError`` as ``error: ...``.
+byte for byte.  Exit codes: 0 success, 1 numerical failure (an array too
+large for memory included), 2 bad usage or invalid lattice: argparse
+reports a malformed command line under the subcommand's usage, and ``main``
+prints any other ``ValueError`` as ``error: ...``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bloch import band_gaps, band_structure, breaking_threshold, max_growth_rate
+from .bloch import band_gaps, band_structure, breaking_threshold, harper_growth_rate, max_growth_rate
 from .dynamics import (
     _check_fit_window,
     boundary_growth_rate,
@@ -279,8 +281,12 @@ def _cmd_sweep(args) -> list[Path]:
     rows = []
     for param in params:
         family = make_family(param)
-        lambda_c = _lambda_c(family, args)
-        rows.append((str(param), lambda_c, max_growth_rate(family.at(sigma_lambda), num_k=args.kpoints)))
+        # sigma first: a bad --sigma-lambda or --kpoints exits before any threshold is solved
+        if sigma_lambda == args.delta:
+            sigma = harper_growth_rate(args.delta, family.q, num_k=args.kpoints)
+        else:
+            sigma = max_growth_rate(family.at(sigma_lambda), num_k=args.kpoints)
+        rows.append((str(param), _lambda_c(family, args), sigma))
     out = Path(args.out)
     _write_table(out, "param,lambda_c,sigma", rows)
     print(f"wrote {len(rows)} rows to {out}")
@@ -364,7 +370,7 @@ def main(argv=None) -> int:
     except (LatticeError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, FloatingPointError) as exc:
+    except (NumericsError, FloatingPointError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -20,6 +20,7 @@ from ptsl import (
     diagnose_pt_phase,
     eig_complex,
     harper_family,
+    harper_growth_rate,
     max_growth_rate,
     period_matrix,
 )
@@ -427,3 +428,55 @@ def test_growth_rate_positive_when_broken():
     sigma = max_growth_rate(BROKEN, num_k=128)
     assert sigma > 1e-3
 
+
+# 50-digit values of the closed form at delta = 0.3 on the 512-point grid
+# (mpmath); at q = 24, 30 and 41 they match 50-digit eigenvalues of the
+# Bloch matrix at the band edge
+HARPER_SIGMA_512 = {
+    12: 1.21499997384314e-4,
+    20: 5.90489999999151e-7,
+    24: 4.42867499999995e-8,
+    30: 9.51353479073539e-10,
+    41: 9.30921477633793e-13,
+    60: 6.8630377364883e-18,
+    61: 3.69619115136012e-18,
+}
+
+
+@pytest.mark.parametrize("q", sorted(HARPER_SIGMA_512))
+def test_harper_growth_rate_matches_high_precision_values(q):
+    # the eigen route reads 4.9e-8 at q = 24, 2.3e-8 at q = 30 and 4.1e-6 at q = 60
+    assert harper_growth_rate(0.3, q, 512) == pytest.approx(HARPER_SIGMA_512[q], rel=1e-9)
+
+
+@pytest.mark.parametrize("num_k", [2, 3, 9, 64, 511, 512])
+def test_harper_growth_rate_equals_eigen_route(num_k):
+    # an odd grid puts the band edge of an even q between two points
+    for q in range(1, 21):
+        sigma = harper_growth_rate(0.3, q, num_k)
+        own = max_growth_rate(harper_family(0.3, 1, q).at(0.3), num_k)
+        assert abs(sigma - own) <= 1e-10 + 1e-8 * sigma, (q, sigma, own)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3, 5.0])
+def test_harper_growth_rate_vanishes_up_to_two_sites(delta):
+    assert harper_growth_rate(delta, 1) == 0.0
+    assert harper_growth_rate(delta, 2, 9) == 0.0
+
+
+@pytest.mark.parametrize("q", [1200, 2000])
+def test_harper_growth_rate_at_large_period(q):
+    # 3^(q/2) overflows at q = 2000; both tend to 2 sinh(log 3)
+    assert harper_growth_rate(3.0, q, 64) == pytest.approx(3.0 - 1.0 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("delta", "q", "num_k"),
+    [(-1.0, 5, 64), (-math.inf, 5, 64), (math.nan, 5, 64), (math.inf, 5, 64), (0.3, 0, 64), (0.3, 5, 1)],
+)
+def test_harper_growth_rate_rejects_what_the_eigen_route_rejects(delta, q, num_k):
+    with pytest.raises(ValueError) as expected:
+        max_growth_rate(harper_family(delta, 1, q).at(delta), num_k)
+    with pytest.raises(ValueError) as got:
+        harper_growth_rate(delta, q, num_k)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import ptsl.cli as cli
 import ptsl.edge as edge
 from conftest import pt_specs
-from ptsl import NumericsError, family_from_json, harper_family
+from ptsl import NumericsError, family_from_json, harper_family, harper_growth_rate
 
 
 def run(*argv) -> int:
@@ -171,6 +171,18 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "band_structure", boom)
     assert run("bands", *HARPER_FLAGS, "--out", str(tmp_path / "x.csv")) == 1
+
+
+def test_out_of_memory_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # bands --q 100000 used to end in a numpy _ArrayMemoryError traceback
+    message = "Unable to allocate 149. GiB for an array with shape (1, 1, 100000, 100000)"
+
+    def boom(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "band_structure", boom)
+    assert run("bands", *HARPER_FLAGS, "--out", str(tmp_path / "x.csv")) == 1
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +543,42 @@ def test_sweep_p_range(tmp_path):
     assert code == 0
     _, rows = read_csv(out)
     assert [r[0] for r in rows] == ["1", "2"]
+
+
+def test_sweep_sigma_is_the_same_for_every_p(tmp_path):
+    # the eigen route's sigma varied with p by up to 2.9e-5 relative at q = 19
+    out = tmp_path / "sweep.csv"
+    code = run(
+        "sweep", "--delta", "0.3", "--p-range", "1:18", "--q", "19", "--lambda-max", "0.5",
+        "--tol", "1e-2", "--kpoints", "512", "--out", str(out),
+    )
+    assert code == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 18
+    assert {r[2] for r in rows} == {cli._fmt(harper_growth_rate(0.3, 19, 512))}
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--sigma-lambda=-1"], "non-Hermitian strength must be nonnegative"),
+        (["--sigma-lambda=nan"], "on-site energies must be finite"),
+        (["--sigma-lambda=inf"], "on-site energies must be finite"),
+        (["--kpoints=1"], "need at least 2 k-points"),
+        (["--sigma-lambda=0.1", "--kpoints=1"], "need at least 2 k-points"),
+    ],
+)
+@pytest.mark.parametrize("span", [["--q-range", "3:60"], ["--p-range", "1:18", "--q", "19"]])
+def test_sweep_bad_growth_rate_flags_exit_before_any_threshold(span, flags, message, monkeypatch, tmp_path, capsys):
+    # used to solve the first row's threshold before the growth rate failed
+    def unexpected(*args, **kwargs):
+        raise AssertionError("breaking_threshold called")
+
+    monkeypatch.setattr(cli, "breaking_threshold", unexpected)
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--delta", "0.3", *span, *flags, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_sweep_empty_range(tmp_path, capsys):

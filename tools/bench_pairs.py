@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two commits, summarised as one JSON file.
+
+Exports each commit with ``git archive`` into a temporary directory, then
+runs ``bench/run.py`` of each export on every workload of ``BENCHMARK.json``
+for its ``run_seconds``, in ``PAIRS`` pairs that alternate which commit runs
+first.  Both sides of a pair use the same seed.  For each workload and
+end-to-end metric it writes every run's value, each side's median and
+quartiles, and how many pairs the head commit won (a tie counts for neither
+side), with the commits both revisions resolved to and the host it ran on.
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --base <commit> --head <commit> --out BENCH_<n>.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+PAIRS = 10
+SEEDS = range(101, 101 + PAIRS)
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def git(*argv: str) -> bytes:
+    return subprocess.run(["git", *argv], capture_output=True, check=True).stdout
+
+
+def export(commit: str, tree: Path) -> Path:
+    tree.mkdir()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tar:
+        tar.extractall(tree, filter="data")
+    return tree
+
+
+def run(tree: Path, workload: str, seed: int) -> dict:
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{tree.name} {workload} seed {seed}: bench/run.py exited {done.returncode}\n"
+                         f"{done.stderr[-2000:]}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "failed": result["failed"], "attempted": result["attempted"],
+            **{m["name"]: result["metrics"][m["name"]]["value"] for m in BENCHMARK["end_to_end"]}}
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="parent commit")
+    parser.add_argument("--head", required=True, help="commit of the change")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args()
+    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+               for side, rev in (("base", args.base), ("head", args.head))}
+    report = {"command": " ".join(["python3", *sys.argv]), **commits,
+              "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
+                       "python": platform.python_version(), "numpy": np.__version__},
+              "seconds": BENCHMARK["run_seconds"], "seeds": list(SEEDS), "workloads": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: export(commit, Path(tmp) / side) for side, commit in commits.items()}
+        for workload in (w["name"] for w in BENCHMARK["workloads"]):
+            runs = {"base": [], "head": []}
+            for i, seed in enumerate(SEEDS):
+                for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                    runs[side].append(run(trees[side], workload, seed))
+                print(workload, seed, {s: runs[s][-1]["wall_s"] for s in runs}, file=sys.stderr)
+            entry = {side: {"correct": all(r["correct"] for r in rs), "failed": sum(r["failed"] for r in rs),
+                            "attempted": sum(r["attempted"] for r in rs)} for side, rs in runs.items()}
+            for metric in BENCHMARK["end_to_end"]:
+                m, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+                base = [r[m] for r in runs["base"]]
+                head = [r[m] for r in runs["head"]]
+                entry[m] = {"base": summary(base), "head": summary(head),
+                            "head_wins": sum(sign * h < sign * b for b, h in zip(base, head)), "pairs": PAIRS}
+            report["workloads"][workload] = entry
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,6 +24,15 @@ every Im E is 0.  A non-Hermitian lattice without a centre (possible for
 JSON input) counts as unbroken when max |Im E| <= ``REALITY_TOL`` times its
 largest |V_n| or |kappa_n|.
 
+The threshold search decides each strength at the two decisive k one at
+a time, starting with the edge that breaks first at lambda = delta (see
+below): k = -pi/q for odd q and k = 0 for even q.  The other k is solved
+only for strengths still real at the first, since broken at either k is
+broken.  The lambda = 0 row is Re V alone, hence Hermitian, and
+``eigvalsh`` always calls it real, so it is never solved.  Im V scales
+with lambda, so every lambda > 0 row of a family has the same parity
+centre; it is found once, on the lambda_max row.
+
 Spectra are solved as stacks, one LAPACK call per chunk of k-points.  Since
 H(-k) = H(k)^T, the spectrum depends on k only through cos(kq): on the
 uniform grid ``_k_grid`` row j mirrors row N - j, so bands and growth rates
@@ -133,8 +142,10 @@ def _solve(onsite: np.ndarray, hopping, ks: np.ndarray, doubled_centre: int) -> 
         h = h.real + h.imag[..., (doubled_centre - 2 - np.arange(q)) % q]
     hermitian = ~onsite.imag.any(axis=-1)
     values = np.empty(h.shape[:-1], dtype=complex)
-    values[hermitian] = np.linalg.eigvalsh(h[hermitian])
-    values[~hermitian] = np.linalg.eigvals(h[~hermitian])
+    if hermitian.any():
+        values[hermitian] = np.linalg.eigvalsh(h[hermitian])
+    if not hermitian.all():
+        values[~hermitian] = np.linalg.eigvals(h[~hermitian])
     return values
 
 
@@ -173,7 +184,13 @@ def _phase(onsite, hopping, ks: np.ndarray, tol: float = REALITY_TOL):
     """
     values, exact = _spectra(onsite, hopping, ks)
     imag = np.max(np.abs(values.imag), axis=-1)
-    return imag, imag.max(axis=-1) <= np.where(exact, 0.0, tol * _energy_scale(onsite, hopping))
+    return imag, imag.max(axis=-1) <= _reality_limit(exact, onsite, hopping, tol)
+
+
+def _reality_limit(exact, onsite, hopping, tol: float = REALITY_TOL) -> np.ndarray:
+    """Largest max |Im E| of each on-site row that still counts as real:
+    0 for an exact spectrum, ``tol`` times :func:`_energy_scale` for any other."""
+    return np.where(exact, 0.0, tol * _energy_scale(onsite, hopping))
 
 
 def _solved_rows(num_k: int) -> int:
@@ -296,19 +313,37 @@ def breaking_threshold(
         raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
     if not (tol_lambda > 0 and math.isfinite(tol_lambda)):
         raise ValueError(f"tol_lambda must be positive and finite, got {tol_lambda}")
-    ks = _decisive_k(family.q)
+    q = family.q
+    hopping = np.asarray(family.hopping, dtype=float)
+    # the edge that breaks first at lambda = delta goes first (module docstring)
+    order = _decisive_k(q)[::-1] if q % 2 else _decisive_k(q)
+    per_chunk = max(1, _CHUNK_BYTES // (16 * q * q))
 
-    def unbroken(lams) -> np.ndarray:
-        # the rows (Re V, lam Im V) of the family at each strength
-        onsite = np.empty((len(lams), family.q), dtype=complex)
+    def rows(lams) -> np.ndarray:
+        # the on-site rows (Re V, lam Im V) of the family at each strength
+        onsite = np.empty((len(lams), q), dtype=complex)
         onsite.real = family.onsite_real
         onsite.imag = np.multiply.outer(lams, family.onsite_imag)
-        return _phase(onsite, family.hopping, ks)[1]
+        return onsite
+
+    # Im V scales with lam, so every lam > 0 row has the centre of this one
+    centre = int(_doubled_centres(rows([lambda_max]), hopping)[0])
+
+    def unbroken(lams) -> np.ndarray:
+        onsite = rows(lams)
+        limit = _reality_limit(centre >= 0, onsite, hopping)
+        real = np.ones(len(lams), dtype=bool)
+        live = np.flatnonzero(onsite.imag.any(axis=-1))  # eigvalsh calls a Hermitian row real
+        for k in order:
+            for lo in range(0, len(live), per_chunk):
+                block = live[lo : lo + per_chunk]
+                values = _solve(onsite[block], hopping, np.array([k]), centre)
+                real[block] = np.abs(values.imag).max(axis=(-2, -1)) <= limit[block]
+            live = live[real[live]]
+        return real
 
     lams = np.linspace(0.0, lambda_max, 64)
     states = unbroken(lams)
-    if not states[0]:
-        raise ValueError("family is already broken at lambda = 0")
     flips = np.flatnonzero(states[:-1] & ~states[1:])
     if len(flips) == 0:
         return ThresholdResult(

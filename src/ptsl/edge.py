@@ -191,10 +191,10 @@ def edge_spectrum(
 
 
 def localization_length(record: EdgeStateRecord) -> float:
-    """Decay length -q / ln|s11|^2 of an edge state, in sites."""
+    """Decay length -q / ln|s11|^2 of an edge state, in sites, as :func:`edge_spectrum` stored it."""
     if record.classification is not Classification.EDGE:
         raise ValueError(f"localization length is defined for edge states, not {record.classification.value}")
-    return -record.period / math.log(record.s11_abs**2)
+    return record.localization_length
 
 
 def psi_witness(spec: SuperlatticeSpec, energy: complex, periods: int) -> np.ndarray:

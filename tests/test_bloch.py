@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from ptsl import (
     HarperParams,
     ParametricLattice,
     SuperlatticeSpec,
+    ThresholdResult,
     band_gaps,
     band_structure,
     bloch_matrix,
@@ -24,7 +26,9 @@ from ptsl import (
     max_growth_rate,
     period_matrix,
 )
+from ptsl import bloch
 from ptsl.bloch import _bloch_stack, _spectra
+from ptsl.lattice import _doubled_centres
 
 HERMITIAN = build_harper(HarperParams(0.3, 0.0, 1, 6, 0))
 UNBROKEN = build_harper(HarperParams(0.3, 0.134, 1, 6, 0))
@@ -309,7 +313,7 @@ def _threshold_by_single_diagnoses(family, lambda_max, tol_lambda):
     states = [diagnose_pt_phase(family.at(lam)).unbroken for lam in lams]
     flips = [i for i in range(63) if states[i] and not states[i + 1]]
     if not flips:
-        return lambda_max, (lambda_max, lambda_max), 0
+        return ThresholdResult(lambda_max, (lambda_max, lambda_max), True, 0)
     lo, hi = float(lams[flips[0]]), float(lams[flips[0] + 1])
     while hi - lo > tol_lambda:
         mid = 0.5 * (lo + hi)
@@ -317,17 +321,96 @@ def _threshold_by_single_diagnoses(family, lambda_max, tol_lambda):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), (lo, hi), len(flips)
+    return ThresholdResult(0.5 * (lo + hi), (lo, hi), False, len(flips))
 
 
-@pytest.mark.parametrize("p, q", [(1, 3), (1, 4), (1, 6), (2, 7), (1, 9), (3, 16), (1, 19)])
-def test_threshold_coarse_stack_matches_single_diagnoses(p, q):
-    family = harper_family(0.3, p, q)
+def _random_family(seed, q):
+    spec = random_pt_spec(np.random.default_rng(seed), q)
+    return ParametricLattice([v.real for v in spec.onsite], [v.imag for v in spec.onsite], spec.hopping)
+
+
+# (id, family, lambda_max): the first seven at n0 = 0, then every q <= 24 at
+# p = 1 with n0 = q mod 3 and both lambda_max; q = 32, 33 and 40 have several
+# transitions, and the random families have centres of both kinds
+_THRESHOLD_CASES = [
+    *((f"{p}-{q}", lambda p=p, q=q: harper_family(0.3, p, q), 0.5)
+      for p, q in [(1, 3), (1, 4), (1, 6), (2, 7), (1, 9), (3, 16), (1, 19)]),
+    *((f"p{p}-q{q}-n0{n0}-lam{lam}", lambda p=p, q=q, n0=n0: harper_family(0.3, p, q, n0), lam)
+      for p, q, n0, lam in [
+          *((1, q, q % 3, (0.5, 1.0)[q // 2 % 2]) for q in range(1, 25)),
+          (3, 16, 5, 1.0), (2, 19, 1, 1.0), (1, 32, 0, 0.5), (1, 33, 2, 1.0), (1, 40, 5, 0.5),
+      ]),
+    *((f"random-seed{seed}-q{q}-lam{lam}", lambda seed=seed, q=q: _random_family(seed, q), lam)
+      for seed, q, lam in [(1, 5, 1.0), (2, 8, 0.5), (4, 9, 1.0)]),
+]
+
+
+@pytest.mark.parametrize(
+    "make_family, lambda_max", [case[1:] for case in _THRESHOLD_CASES], ids=[case[0] for case in _THRESHOLD_CASES]
+)
+def test_threshold_coarse_stack_matches_single_diagnoses(monkeypatch, make_family, lambda_max):
+    # bitwise the verdicts of one diagnose_pt_phase per strength, with each
+    # strength solved on its family's centre and at each decisive k at most
+    # once, the second only where the first left it real
+    family = make_family()
+    expected = _threshold_by_single_diagnoses(family, lambda_max, 1e-4)
+    q, hopping = family.q, np.array(family.hopping)
+    order = [-math.pi / q, 0.0] if q % 2 else [0.0, -math.pi / q]
+    solved = {}
+    solve = bloch._solve
+
+    def recording_solve(onsite, hopping_, ks, doubled_centre):
+        values = solve(onsite, hopping_, ks, doubled_centre)
+        assert np.array_equal(_doubled_centres(onsite, hopping), np.full(len(onsite), doubled_centre))
+        assert onsite.imag.any(axis=-1).all()  # no Hermitian row, lambda = 0 included
+        limit = bloch._reality_limit(doubled_centre >= 0, onsite, hopping)
+        for row, imag, real_limit in zip(onsite, np.abs(values.imag).max(axis=(-2, -1)), limit):
+            solved.setdefault(row.tobytes(), []).append((float(ks[0]), bool(imag <= real_limit)))
+        return values
+
+    monkeypatch.setattr(bloch, "_solve", recording_solve)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = breaking_threshold(family, lambda_max=0.5)
-    expected = _threshold_by_single_diagnoses(family, 0.5, 1e-4)
-    assert (result.lambda_c, result.bracket, result.transitions) == expected
+        result = breaking_threshold(family, lambda_max=lambda_max)
+    assert result == expected
+    assert solved
+    for verdicts in solved.values():
+        assert [k for k, _ in verdicts] == order[: len(verdicts)]
+        assert all(real for _, real in verdicts[:-1])
+
+
+def _workload_families():
+    """The 54 families a benchmark batch of sweep_q, sweep_p and threshold_q searches."""
+    by_q = [harper_family(0.3, 1, q) for q in range(3, 21)]
+    return by_q + by_q + [harper_family(0.3, p, 19) for p in range(1, 19)]
+
+
+def test_threshold_solves_at_most_4438_matrices_on_the_workload(monkeypatch):
+    # 7668 when every scan row and bisection step was solved at both k
+    counted = []
+    for name in ("eigvals", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, solver=solver: counted.append(math.prod(a.shape[:-2])) or solver(a)
+        )
+    for family in _workload_families():
+        breaking_threshold(family, lambda_max=0.5)
+    assert sum(counted) <= 4438
+
+
+def test_threshold_memory_stays_small_at_large_period():
+    # 17.3 MB when the centre scan compared (64, 2q, q) candidate arrays
+    family = harper_family(0.3, 1, 64)
+    breaking_threshold(harper_family(0.3, 1, 3), lambda_max=0.5)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            breaking_threshold(family, lambda_max=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("q", [16, 20, 24])

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ptsl import (
     psi_witness,
     spectrum_reality,
 )
+from ptsl import edge as edge_module
 from ptsl.edge import _match_multisets, _perfect_matching
 
 
@@ -174,15 +176,19 @@ def test_localization_length_of_printed_edge_state():
     assert abs(edge.localization_length - localization_length(edge)) < 1e-12
 
 
-def test_localization_length_forced_by_formula():
-    record = EdgeStateRecord(
-        energy=0.0,
-        s11_abs=math.exp(-0.5),
-        classification=Classification.EDGE,
-        localization_length=None,
-        period=1,
-    )
-    assert abs(localization_length(record) - 1.0) < 1e-14
+def _edges_with_s11(monkeypatch, s11_abs):
+    """edge_spectrum of anchor 1 with every candidate's |s11| forced to ``s11_abs``."""
+    monkeypatch.setattr(edge_module, "period_matrix", lambda spec, energy: SimpleNamespace(s11=s11_abs))
+    records = edge_spectrum(harper(1))
+    assert records and all(r.classification is Classification.EDGE for r in records)
+    return records
+
+
+def test_localization_length_forced_by_formula(monkeypatch):
+    # -q / ln|s11|^2 with q = 6 and |s11|^2 = e^-1
+    for record in _edges_with_s11(monkeypatch, math.exp(-0.5)):
+        assert abs(record.localization_length - 6.0) < 1e-14
+        assert localization_length(record) == record.localization_length
 
 
 def test_localization_length_rejects_non_edge():
@@ -197,13 +203,9 @@ def test_localization_length_rejects_non_edge():
         localization_length(record)
 
 
-def test_delocalization_limit_grows_without_bound():
-    lengths = [
-        localization_length(
-            EdgeStateRecord(0.0, s, Classification.EDGE, None, period=6)
-        )
-        for s in (0.9, 0.99, 0.999999)
-    ]
+def test_delocalization_limit_grows_without_bound(monkeypatch):
+    # |s11| -> 1 from below, up to the edge of the classification band
+    lengths = [localization_length(_edges_with_s11(monkeypatch, s)[0]) for s in (0.9, 0.99, 0.99999)]
     assert lengths[0] < lengths[1] < lengths[2]
     assert lengths[2] > 1e5
 

@@ -3,9 +3,23 @@
 Solves ``i dpsi/dt = H psi`` for the chain restricted to sites 1..N with
 open ends, H carrying the superlattice's on-site energies and ``-kappa``
 hoppings.  H is tridiagonal and stored sparse; the samples
-``psi(t_j) = exp(-i H t_j) psi0`` on the uniform time grid come from one call
-of scipy's ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-2011), which works to double precision.
+``psi(t_j) = exp(-i H t_j) psi0`` on the uniform time grid are those of
+scipy's ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011,
+Alg. 5.2), which works to double precision, bit for bit.
+
+The algorithm splits the q = samples - 1 steps of h = t_max/q into blocks of
+d = q // s samples, with scipy's own Taylor degree m* and step count s for
+the trace-shifted matrix A = -iH - mu*I.  From the block's first state Z it
+forms the Taylor vectors K_p = (hA)^p / p! Z once, and the block's d
+samples as one (d, N) array, adding k^p K_p to row k term by term.  Each
+term stops every finished row with one vector comparison of scipy's test
+c1 + c2 <= 2^-53 ||F_k||_inf, and those rows leave the array with their
+factor e^{k h mu}.  scipy runs the same test as a Python loop over every
+(sample, term) pair.  Each row sees the same floating-point operations in
+the same order as in scipy, so the states are bitwise scipy's.  Sample 0
+is psi0 itself, which scipy recomputes from 2s products.  When
+q <= s (scipy's case 0) every sample is its own block, and scipy's case-0
+helper runs as in the public call, from the same plan.
 
 Flipping the global hopping sign is a gauge transformation
 ``psi_n -> (-1)^n psi_n`` and leaves every intensity invariant, so either
@@ -39,6 +53,10 @@ __all__ = [
 
 # a wavefront entering the last period signals boundary contamination
 _BOUNDARY_FRACTION = 1e-6
+# ceiling on samples x sites x 24 B (a complex state and a float intensity
+# per entry), checked before any state is allocated; 10^4 sites x 2,000
+# samples need 480 MB
+_STATE_BYTES_LIMIT = 2 * 10**9
 
 
 @dataclass(frozen=True)
@@ -93,6 +111,50 @@ def single_site_excitation(n_sites: int, site: int = 1) -> np.ndarray:
     return psi0
 
 
+def _sample_states(generator, psi0: np.ndarray, t_max: float, num_samples: int) -> np.ndarray:
+    """``expm_multiply(generator, psi0, start=0, stop=t_max, num=num_samples)``, bitwise.
+
+    scipy's interval algorithm with one array per block of samples; see the
+    module docstring.
+    """
+    import scipy.sparse.linalg._expm_multiply as em
+
+    tol = 2.0**-53
+    n = generator.shape[0]
+    mu = generator.trace() / float(n)
+    A = generator - mu * em._ident_like(generator)
+    A_1_norm = em._exact_1_norm(A)
+    q = num_samples - 1
+    h = t_max / q
+    norm_info = em.LazyOperatorNormInfo(t_max * A, A_1_norm=t_max * A_1_norm, ell=2)
+    m_star, s = (0, 1) if t_max * A_1_norm == 0 else em._fragment_3_1(norm_info, 1, tol, ell=2)
+    states = np.empty((num_samples, n), dtype=complex)
+    states[0] = psi0
+    if q <= s:  # scipy's case 0 re-plans (m*, s) for a single step and runs it per sample
+        return em._expm_multiply_interval_core_0(A, states, h, mu, q, norm_info, tol, 2, 1)[0]
+
+    d = q // s
+    for start in range(0, q, d):
+        k = np.arange(1, min(d, q - start) + 1)  # steps of h past the block start
+        term = states[start]
+        F = np.tile(term, (k.size, 1))
+        c1 = np.abs(term).max()
+        for p in range(1, m_star + 1):
+            term = h * A.dot(term) / float(p)
+            coeff = (k.astype(object) ** p).astype(float)  # float(k**p), exactly as scipy rounds it
+            F += coeff[:, None] * term
+            c2 = coeff * np.abs(term).max()
+            done = c1 + c2 <= tol * np.abs(F).max(axis=1)
+            if done.any():
+                states[start + k[done]] = np.exp(k[done] * h * mu)[:, None] * F[done]
+                F, k, c2 = F[~done], k[~done], c2[~done]
+                if not k.size:
+                    break
+            c1 = c2
+        states[start + k] = np.exp(k * h * mu)[:, None] * F
+    return states
+
+
 def propagate(
     spec: SuperlatticeSpec,
     psi0,
@@ -102,7 +164,8 @@ def propagate(
     """Propagate an initial state for time ``t_max``, sampling uniformly.
 
     The site count is the length of ``psi0`` and must cover at least two
-    periods, and ``||H||_1 * t_max`` must lie in [2^-52, 1e4].  The
+    periods, ``||H||_1 * t_max`` must lie in [2^-52, 1e4], and the states
+    and intensities (samples x sites x 24 B) must fit in 2 GB.  The
     far-boundary flag is raised (not an error) when more than a 1e-6
     fraction of the norm enters the last period at any sample.  A state,
     intensity or total norm that overflows to a non-finite value raises
@@ -116,16 +179,18 @@ def propagate(
         raise ValueError("initial state must be nonzero")
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
+    state_bytes = 24 * num_samples * n_sites
+    if state_bytes > _STATE_BYTES_LIMIT:
+        raise ValueError(
+            f"{num_samples} samples x {n_sites} sites need {state_bytes / 1e6:.6g} MB of states and "
+            f"intensities, above the {_STATE_BYTES_LIMIT / 1e6:.6g} MB limit"
+        )
     _check_norm_time(spec, t_max)
-
-    from scipy.sparse.linalg import expm_multiply
 
     generator = -1j * _chain_hamiltonian(spec, n_sites)
     times = np.linspace(0.0, t_max, num_samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        states = expm_multiply(
-            generator, psi0, start=0.0, stop=t_max, num=num_samples, endpoint=True
-        )
+        states = _sample_states(generator, psi0, t_max, num_samples)
         intensities = np.abs(states) ** 2
         total = intensities.sum(axis=1)
     # a non-finite state, intensity or norm makes its sample's total non-finite

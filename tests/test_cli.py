@@ -449,6 +449,16 @@ def test_evolve_rejects_a_propagation_too_long_for_its_norm(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evolve_rejects_more_samples_than_the_memory_budget(tmp_path, capsys):
+    # 10^8 samples of 10^4 sites need 24 TB; this used to end in exit 1
+    # "Unable to allocate" or, below the host's memory, in an out-of-memory kill
+    out = tmp_path / "x.csv"
+    argv = [*HARPER_FLAGS, "--tmax", "100", "--sites", "10000", "--samples", str(10**8)]
+    assert run("evolve", *argv, "--out", str(out)) == 2
+    assert "100000000 samples x 10000 sites need 2.4e+07 MB of states and intensities" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _imported_modules(argv, cwd: Path) -> list[str]:
     """Every module a fresh ``python -m ptsl.cli *argv`` imports, in order."""
     src = str(Path(__file__).resolve().parents[1] / "src")

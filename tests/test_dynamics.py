@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,9 +177,18 @@ def test_hermitian_generator_preserves_norm(initial_norm):
 
 
 def test_nan_rhs_raises():
-    # V = 400i overflows exp(400 t) long before t = 3
-    with pytest.raises(NumericsError, match="non-finite"):
-        propagate(SuperlatticeSpec((400j,), (1.0,)), single_site_excitation(12), 3.0)
+    # V = 400i overflows exp(400 t) long before t = 3; the first non-finite
+    # sample is scipy's
+    spec = SuperlatticeSpec((400j,), (1.0,))
+    case, states = _scipy_states(spec, 12, 3.0, 200)
+    assert case == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (np.abs(states) ** 2).sum(axis=1)
+    first = np.linspace(0.0, 3.0, 200)[np.argmax(~np.isfinite(total))]
+    assert 0 < first < 3.0
+    message = f"non-finite state or intensity from t={first:.12g}: |psi|^2 exceeds the float range"
+    with pytest.raises(NumericsError, match=re.escape(message)):
+        propagate(spec, single_site_excitation(12), 3.0)
 
 
 def test_sample_times_validated():
@@ -191,3 +201,82 @@ def test_samples_returned_at_requested_times():
     result = propagate(UNIFORM, psi0, 1.0, num_samples=5)
     assert result.sample_times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert result.intensities[0].tolist() == (np.abs(psi0) ** 2).tolist()
+
+
+# ---------------------------------------------------------------------------
+# block evaluation of scipy's interval algorithm: bitwise scipy, less work
+# ---------------------------------------------------------------------------
+
+BENCHMARK_ANCHOR = build_harper(HarperParams(0.3, 0.134, 1, 6, 1))
+
+
+def _scipy_states(spec, n_sites, t_max, num_samples):
+    """(interval case, states) of scipy's public expm_multiply from a site-1 excitation.
+
+    onenormest draws from numpy's global generator, so both calls here and
+    the caller's ``propagate`` start from the same generator state.
+    """
+    from scipy.sparse.linalg import expm_multiply
+    from scipy.sparse.linalg._expm_multiply import _expm_multiply_interval
+
+    generator = -1j * _chain_hamiltonian(spec, n_sites)
+    psi0 = single_site_excitation(n_sites)
+    state = np.random.get_state()
+    case = _expm_multiply_interval(generator, psi0, 0.0, t_max, num_samples, True, status_only=True)
+    np.random.set_state(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = expm_multiply(generator, psi0, start=0.0, stop=t_max, num=num_samples, endpoint=True)
+    np.random.set_state(state)
+    return case, states
+
+
+@pytest.mark.parametrize(
+    "spec, n_sites, t_max, num_samples, case",
+    [
+        (BENCHMARK_ANCHOR, 60, 10.0, 4, 0),  # samples - 1 <= s = 3
+        (BENCHMARK_ANCHOR, 60, 10.0, 31, 1),  # 30 % 3 == 0
+        (BENCHMARK_ANCHOR, 60, 10.0, 41, 2),  # 40 % 3 == 1
+        (build_harper(HarperParams(0.3, 0.0, 1, 6, 1)), 231, 100.0, 200, 2),  # Hermitian chain
+        (BENCHMARK_ANCHOR, 231, 100.0, 200, 2),  # the evolve benchmark command at n0 = 1
+    ],
+)
+def test_intensities_are_bitwise_scipys(spec, n_sites, t_max, num_samples, case):
+    scipy_case, states = _scipy_states(spec, n_sites, t_max, num_samples)
+    assert scipy_case == case  # a scipy upgrade that moves the case fails here
+    result = propagate(spec, single_site_excitation(n_sites), t_max, num_samples)
+    assert np.array_equal(result.intensities, np.abs(states) ** 2)
+
+
+def test_block_samples_skip_scipys_per_sample_loop(monkeypatch):
+    # scipy's interval algorithm takes an infinity norm for every (sample,
+    # Taylor term) pair and 44 products to return psi0 at t = 0
+    import scipy.sparse._compressed as compressed
+    import scipy.sparse.linalg._expm_multiply as em
+
+    def per_sample_norm(_):
+        raise AssertionError("per-sample stopping test ran")
+
+    monkeypatch.setattr(em, "_exact_inf_norm", per_sample_norm)
+    products = []
+    matmul_vector = compressed._cs_matrix._matmul_vector
+
+    def counted(self, other):
+        products.append(None)
+        return matmul_vector(self, other)
+
+    monkeypatch.setattr(compressed._cs_matrix, "_matmul_vector", counted)
+    propagate(BENCHMARK_ANCHOR, single_site_excitation(60), 10.0, 41)  # case 2
+    products.clear()
+    propagate(BENCHMARK_ANCHOR, single_site_excitation(231), 100.0, 200)
+    assert 0 < len(products) <= 1062  # scipy's expm_multiply takes 1,106
+
+
+def test_state_memory_is_budgeted_before_allocation(monkeypatch):
+    import ptsl.dynamics as dynamics
+
+    # the north-star range, 10^4 sites x 2,000 samples (480 MB), is admitted
+    assert 24 * 10**4 * 2000 <= dynamics._STATE_BYTES_LIMIT / 4
+    monkeypatch.setattr(dynamics, "_STATE_BYTES_LIMIT", 24 * 30 * 20)
+    propagate(UNIFORM, single_site_excitation(30), 5.0, num_samples=20)
+    with pytest.raises(ValueError, match=r"21 samples x 30 sites need 0\.01512 MB .* above the 0\.0144 MB limit"):
+        propagate(UNIFORM, single_site_excitation(30), 5.0, num_samples=21)

@@ -33,10 +33,13 @@ broken.  The lambda = 0 row is Re V alone, hence Hermitian, and
 with lambda, so every lambda > 0 row of a family has the same parity
 centre; it is found once, on the lambda_max row.
 
-Spectra are solved as stacks, one LAPACK call per chunk of k-points.  Since
-H(-k) = H(k)^T, the spectrum depends on k only through cos(kq): on the
-uniform grid ``_k_grid`` row j mirrors row N - j, so bands and growth rates
-solve only rows 0..N//2.
+Every eigen-solve goes through one chunked solver that pairs on-site row m
+with wave number k_m: one lattice broadcast over a k-grid, or the strengths
+of a family at one decisive k.  LAPACK solves at most ``_CHUNK_BYTES`` of
+matrices per call, and a q x q matrix above ``_MATRIX_BYTES_LIMIT`` is
+refused before any is built.  Since H(-k) = H(k)^T, the spectrum depends on
+k only through cos(kq): on the uniform grid ``_k_grid`` row j mirrors row
+N - j, so bands and growth rates solve only rows 0..N//2.
 
 The Harper lattice at lambda = delta has a growth rate in closed form
 (Chambers, Phys. Rev. 140, A135 (1965)).  Write V_n = A exp(i theta_n) +
@@ -72,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ParametricLattice, SuperlatticeSpec, _doubled_centres, _energy_scale, harper_family
+from .lattice import ParametricLattice, SuperlatticeSpec, _doubled_centre, _energy_scale, harper_family
 
 __all__ = [
     "BandStructure",
@@ -92,34 +95,39 @@ __all__ = [
 # spectrum computation independently of the number of k-points
 _CHUNK_BYTES = 128 * 1024
 
+# ceiling on the 16 q^2 bytes of one Bloch matrix, checked before any is
+# built; 2^28 B admits q <= 4096
+_MATRIX_BYTES_LIMIT = 2**28
+
 # max |Im E| / max(|V_n|, |kappa_n|) below which a non-Hermitian lattice
 # without a parity centre counts as real; every other spectrum is exact
 REALITY_TOL = 1e-9
 
 
 def _bloch_stack(onsite: np.ndarray, hopping, ks: np.ndarray) -> np.ndarray:
-    """Uniform-gauge Bloch matrices ``(S, len(ks), q, q)`` of on-site rows ``(S, q)``.
+    """Uniform-gauge Bloch matrices ``(M, q, q)``: on-site row m of ``(M, q)`` at ``ks[m]``.
 
-    Bond n -> n+1 (mod q) carries ``-kappa_n exp(ik)`` and its reverse the
-    conjugate; entries that coincide for q <= 2 add up.
+    One row ``(q,)`` serves every k.  Bond n -> n+1 (mod q) carries
+    ``-kappa_n exp(ik)`` and its reverse the conjugate; entries that
+    coincide for q <= 2 add up.
     """
-    n_specs, q = onsite.shape
+    q = onsite.shape[-1]
     sites = np.arange(q)
     nxt = (sites + 1) % q
     forward = np.empty((len(ks), q), dtype=complex)
     forward.real = -np.multiply.outer(np.cos(ks), hopping)
     forward.imag = -np.multiply.outer(np.sin(ks), hopping)
-    h = np.zeros((n_specs, len(ks), q, q), dtype=complex)
-    h[..., sites, sites] = onsite[:, None, :]
-    h[..., sites, nxt] += forward
-    h[..., nxt, sites] += forward.conj()
+    h = np.zeros((len(ks), q, q), dtype=complex)
+    h[:, sites, sites] = onsite
+    h[:, sites, nxt] += forward
+    h[:, nxt, sites] += forward.conj()
     return h
 
 
 def bloch_matrix(spec: SuperlatticeSpec, k) -> np.ndarray:
     """q x q uniform-gauge Bloch matrix at wave number k; ``k.shape + (q, q)`` for an array."""
     ks = np.asarray(k, dtype=float)
-    h = _bloch_stack(np.array([spec.onsite], dtype=complex), spec.hopping, ks.reshape(-1))[0]
+    h = _bloch_stack(np.asarray(spec.onsite, dtype=complex), spec.hopping, ks.reshape(-1))
     return h.reshape(ks.shape + h.shape[-2:])
 
 
@@ -128,63 +136,50 @@ def _k_grid(q: int, num_k: int) -> np.ndarray:
 
 
 def _solve(onsite: np.ndarray, hopping, ks: np.ndarray, doubled_centre: int) -> np.ndarray:
-    """Eigenvalues ``(len(onsite), len(ks), q)`` of lattices sharing one centre.
+    """Eigenvalues ``(M, q)`` of on-site row m of ``(M, q)`` at ``ks[m]``, all sharing one centre.
 
     With a centre (``doubled_centre >= 0``) the matrices are R, where entry
     (a, b) of (Im H) P is ``Im H[a, P b]`` with P the reflection
     ``j -> (d - 2 - j) mod q``; without one they are H.  Hermitian rows go
     to ``eigvalsh``, which cannot split a degenerate pair into a complex
-    one, and the others to ``eigvals``.
+    one, and the others to ``eigvals``.  LAPACK solves at most
+    ``_CHUNK_BYTES`` of matrices per call, and a matrix above
+    ``_MATRIX_BYTES_LIMIT`` raises ``ValueError`` before any is built.
     """
     q = onsite.shape[-1]
-    h = _bloch_stack(onsite, hopping, ks)
-    if doubled_centre >= 0:
-        h = h.real + h.imag[..., (doubled_centre - 2 - np.arange(q)) % q]
+    matrix_bytes = 16 * q * q
+    if matrix_bytes > _MATRIX_BYTES_LIMIT:
+        raise ValueError(
+            f"a {q} x {q} Bloch matrix needs {matrix_bytes / 1e6:.6g} MB, "
+            f"above the {_MATRIX_BYTES_LIMIT / 1e6:.6g} MB limit"
+        )
     hermitian = ~onsite.imag.any(axis=-1)
-    values = np.empty(h.shape[:-1], dtype=complex)
-    if hermitian.any():
-        values[hermitian] = np.linalg.eigvalsh(h[hermitian])
-    if not hermitian.all():
-        values[~hermitian] = np.linalg.eigvals(h[~hermitian])
+    values = np.empty((len(ks), q), dtype=complex)
+    per_chunk = max(1, _CHUNK_BYTES // matrix_bytes)
+    for lo in range(0, len(ks), per_chunk):
+        rows = slice(lo, lo + per_chunk)
+        h = _bloch_stack(onsite[rows], hopping, ks[rows])
+        if doubled_centre >= 0:
+            h = h.real + h.imag[..., (doubled_centre - 2 - np.arange(q)) % q]
+        chunk, herm = values[rows], hermitian[rows]
+        if herm.any():
+            chunk[herm] = np.linalg.eigvalsh(h[herm])
+        if not herm.all():
+            chunk[~herm] = np.linalg.eigvals(h[~herm])
     return values
 
 
-def _spectra(onsite, hopping, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of every lattice at every k, and which came out exact.
+def _spectra(spec: SuperlatticeSpec, ks: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Eigenvalues ``(len(ks), q)`` of the lattice at every k, and whether they are exact.
 
-    ``onsite`` holds one lattice per row, shape ``(S, q)``, all sharing
-    ``hopping``.  Returns the ``(S, len(ks), q)`` eigenvalues and the
-    ``(S,)`` mask of lattices with a parity centre or no Im V, whose real
-    eigenvalues have Im exactly 0.  LAPACK solves at most ``_CHUNK_BYTES``
-    of matrices per call: whole k-rows of several lattices when they fit,
-    else slices of one lattice's k-row.
+    A lattice with a parity centre or no Im V has exact spectra: its real
+    eigenvalues have Im exactly 0.
     """
-    onsite = np.asarray(onsite, dtype=complex)
-    hopping = np.asarray(hopping, dtype=float)
-    n_specs, q = onsite.shape
-    centres = _doubled_centres(onsite, hopping)
-    out = np.empty((n_specs, len(ks), q), dtype=complex)
-    per_chunk = max(1, _CHUNK_BYTES // (16 * q * q))
-    per_spec = max(1, per_chunk // len(ks))
-    k_step = min(len(ks), per_chunk)
-    for centre in np.unique(centres):
-        rows = np.flatnonzero(centres == centre)
-        for lo in range(0, len(rows), per_spec):
-            block = rows[lo : lo + per_spec]
-            for klo in range(0, len(ks), k_step):
-                k_slice = slice(klo, klo + k_step)
-                out[block, k_slice] = _solve(onsite[block], hopping, ks[k_slice], centre)
-    return out, (centres >= 0) | ~onsite.imag.any(axis=-1)
-
-
-def _phase(onsite, hopping, ks: np.ndarray, tol: float = REALITY_TOL):
-    """Largest |Im E| of every lattice at every k, ``(S, len(ks))``, and the
-    ``(S,)`` unbroken verdicts: every Im E is 0 for an exact spectrum, and
-    max |Im E| <= ``tol`` times the lattice's :func:`_energy_scale` for any other.
-    """
-    values, exact = _spectra(onsite, hopping, ks)
-    imag = np.max(np.abs(values.imag), axis=-1)
-    return imag, imag.max(axis=-1) <= _reality_limit(exact, onsite, hopping, tol)
+    onsite = np.asarray(spec.onsite, dtype=complex)
+    hopping = np.asarray(spec.hopping, dtype=float)
+    centre = _doubled_centre(onsite, hopping)
+    values = _solve(np.broadcast_to(onsite, (len(ks), spec.q)), hopping, ks, centre)
+    return values, centre >= 0 or not onsite.imag.any()
 
 
 def _reality_limit(exact, onsite, hopping, tol: float = REALITY_TOL) -> np.ndarray:
@@ -220,14 +215,9 @@ def band_structure(spec: SuperlatticeSpec, num_k: int) -> BandStructure:
         raise ValueError("need at least 2 k-points")
     ks = _k_grid(spec.q, num_k)
     solved = _solved_rows(num_k)
-    energies = np.empty((num_k, spec.q), dtype=complex)
-    half = energies[:solved]
-    values, _ = _spectra([spec.onsite], spec.hopping, ks[:solved])
-    half[:] = values[0]
-    order = np.lexsort((half.imag, half.real))
-    half[:] = half[np.arange(solved)[:, None], order]
-    energies[solved:] = energies[num_k - solved : 0 : -1]
-    return BandStructure(k_values=ks, energies=energies)
+    half = _spectra(spec, ks[:solved])[0]
+    half = half[np.arange(solved)[:, None], np.lexsort((half.imag, half.real))]
+    return BandStructure(k_values=ks, energies=np.concatenate([half, half[num_k - solved : 0 : -1]]))
 
 
 def band_gaps(bands: BandStructure) -> list[tuple[float, float]]:
@@ -279,10 +269,12 @@ def diagnose_pt_phase(
     ks = _decisive_k(spec.q)
     if guard_points > 0:
         ks = np.concatenate([ks, _k_grid(spec.q, guard_points)])
-    imag, unbroken = _phase([spec.onsite], spec.hopping, ks, tol)
-    at = int(np.argmax(imag[0]))
+    values, exact = _spectra(spec, ks)
+    imag = np.max(np.abs(values.imag), axis=-1)
+    at = int(np.argmax(imag))
+    unbroken = imag[at] <= _reality_limit(exact, spec.onsite, spec.hopping, tol)
     return PhaseDiagnosis(
-        unbroken=bool(unbroken[0]), max_abs_imag=float(imag[0, at]), witness_k=float(ks[at]), tol=tol
+        unbroken=bool(unbroken), max_abs_imag=float(imag[at]), witness_k=float(ks[at]), tol=tol
     )
 
 
@@ -317,7 +309,6 @@ def breaking_threshold(
     hopping = np.asarray(family.hopping, dtype=float)
     # the edge that breaks first at lambda = delta goes first (module docstring)
     order = _decisive_k(q)[::-1] if q % 2 else _decisive_k(q)
-    per_chunk = max(1, _CHUNK_BYTES // (16 * q * q))
 
     def rows(lams) -> np.ndarray:
         # the on-site rows (Re V, lam Im V) of the family at each strength
@@ -327,7 +318,7 @@ def breaking_threshold(
         return onsite
 
     # Im V scales with lam, so every lam > 0 row has the centre of this one
-    centre = int(_doubled_centres(rows([lambda_max]), hopping)[0])
+    centre = _doubled_centre(rows([lambda_max])[0], hopping)
 
     def unbroken(lams) -> np.ndarray:
         onsite = rows(lams)
@@ -335,10 +326,10 @@ def breaking_threshold(
         real = np.ones(len(lams), dtype=bool)
         live = np.flatnonzero(onsite.imag.any(axis=-1))  # eigvalsh calls a Hermitian row real
         for k in order:
-            for lo in range(0, len(live), per_chunk):
-                block = live[lo : lo + per_chunk]
-                values = _solve(onsite[block], hopping, np.array([k]), centre)
-                real[block] = np.abs(values.imag).max(axis=(-2, -1)) <= limit[block]
+            if len(live) == 0:
+                break
+            values = _solve(onsite[live], hopping, np.full(len(live), k), centre)
+            real[live] = np.abs(values.imag).max(axis=-1) <= limit[live]
             live = live[real[live]]
         return real
 
@@ -378,10 +369,9 @@ def max_growth_rate(spec: SuperlatticeSpec, num_k: int = 256) -> float:
     if num_k < 2:
         raise ValueError("need at least 2 k-points")
     ks = _k_grid(spec.q, num_k)[: _solved_rows(num_k)]
-    values, exact = _spectra([spec.onsite], spec.hopping, ks)
+    values, exact = _spectra(spec, ks)
     sigma = float(np.max(values.imag))
-    limit = 0.0 if exact[0] else REALITY_TOL * _energy_scale(spec.onsite, spec.hopping)
-    return 0.0 if sigma <= limit else sigma
+    return 0.0 if sigma <= _reality_limit(exact, spec.onsite, spec.hopping) else sigma
 
 
 def harper_growth_rate(delta: float, q: int, num_k: int = 256) -> float:

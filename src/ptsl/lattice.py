@@ -167,14 +167,14 @@ class PTSymmetryReport:
 
 
 def check_pt_symmetry(spec: SuperlatticeSpec) -> PTSymmetryReport:
-    """Scan the 2q candidate parity centers c in {0, 1/2, ..., q - 1/2}.
+    """Scan the candidate parity centers c in {0, 1/2, ..., q - 1/2}.
 
     The lattice is PT symmetric about c iff the periodic extensions satisfy
     ``V_{2c-n} = V_n*`` and ``kappa_{2c-n-1} = kappa_n`` for all n; the
     smallest matching center is reported.  Comparisons allow 1e-12 times
     the largest |V| or |kappa| of the lattice.
     """
-    doubled = _doubled_centres(np.asarray([spec.onsite]), spec.hopping)[0]
+    doubled = _doubled_centre(np.asarray(spec.onsite), spec.hopping)
     if doubled < 0:
         return PTSymmetryReport(symmetric=False, center=None)
     return PTSymmetryReport(symmetric=True, center=doubled / 2.0)
@@ -189,27 +189,33 @@ def _energy_scale(onsite, hopping) -> np.ndarray:
     return np.maximum(np.abs(onsite).max(axis=-1), np.abs(hopping).max())
 
 
-def _doubled_centres(onsite: np.ndarray, hopping) -> np.ndarray:
-    """Twice the smallest parity center of each on-site row, or -1 if none.
+def _doubled_centre(onsite: np.ndarray, hopping) -> int:
+    """Twice the smallest parity center of one on-site row ``(q,)``, or -1 if none.
 
-    ``onsite`` has shape ``(S, q)``, one lattice per row, all sharing
-    ``hopping``.  With 0-based site j, the center c = d/2 maps site j to
-    ``(d - 2 - j) mod q`` and bond j to ``(d - 3 - j) mod q``; all S x 2q
-    candidates are tested in one comparison, within 1e-12 times the row's
-    :func:`_energy_scale`.
+    With 0-based site j, the center c = d/2 maps site j to ``(d - 2 - j)
+    mod q`` and bond j to ``(d - 3 - j) mod q``, within 1e-12 times the
+    row's :func:`_energy_scale`.  Centres d and d + q reflect alike, so the
+    smallest lies below q.  One comparison of site 0 and bond 0 rules out
+    candidates; the survivors are tested in full in order of d, so memory
+    stays O(q).
     """
-    q = onsite.shape[-1]
+    q = len(onsite)
     hopping = np.asarray(hopping, dtype=float)
-    limit = 1e-12 * _energy_scale(onsite, hopping)[:, None, None]
-    doubled = np.arange(2 * q)
-    partner = (doubled[:, None] - 2 - np.arange(q)) % q
+    limit = 1e-12 * _energy_scale(onsite, hopping)
+    sites = np.arange(q)
     # near the float limit a difference may overflow to inf; inf exceeds
     # every limit, which is the right verdict, so the warning is noise
     with np.errstate(over="ignore", invalid="ignore"):
-        bonds_ok = np.all(np.abs(hopping[(partner - 1) % q] - hopping) <= limit, axis=-1)
-        sites_ok = np.all(np.abs(onsite[:, partner] - onsite.conj()[:, None, :]) <= limit, axis=-1)
-    ok = sites_ok & bonds_ok
-    return np.where(ok.any(axis=-1), np.argmax(ok, axis=-1), -1)
+        first = (np.abs(onsite[(sites - 2) % q] - onsite[0].conjugate()) <= limit) & (
+            np.abs(hopping[(sites - 3) % q] - hopping[0]) <= limit
+        )
+        for d in np.flatnonzero(first):
+            partner = (d - 2 - sites) % q
+            if np.all(np.abs(onsite[partner] - onsite.conj()) <= limit) and np.all(
+                np.abs(hopping[(partner - 1) % q] - hopping) <= limit
+            ):
+                return int(d)
+    return -1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -28,7 +29,7 @@ from ptsl import (
 )
 from ptsl import bloch
 from ptsl.bloch import _bloch_stack, _spectra
-from ptsl.lattice import _doubled_centres
+from ptsl.lattice import _doubled_centre
 
 HERMITIAN = build_harper(HarperParams(0.3, 0.0, 1, 6, 0))
 UNBROKEN = build_harper(HarperParams(0.3, 0.134, 1, 6, 0))
@@ -37,7 +38,7 @@ BROKEN = build_harper(HarperParams(0.3, 0.30, 1, 6, 0))
 
 def real_matrix(spec, k, doubled):
     """R = Re H + (Im H) P at one k from the package's builder, P about centre doubled/2."""
-    h = _bloch_stack(np.array([spec.onsite]), np.array(spec.hopping), np.array([k]))[0, 0]
+    h = _bloch_stack(np.array([spec.onsite]), np.array(spec.hopping), np.array([k]))[0]
     return h.real + h.imag[:, (doubled - 2 - np.arange(spec.q)) % spec.q]
 
 
@@ -120,11 +121,24 @@ def test_bloch_matrix_matches_uniform_gauge_reference():
         assert np.max(np.abs(bloch_matrix(spec, k) - _uniform_gauge(spec, k))) <= 1e-15
 
 
+# site 0 of the q = 9 lattices passes seven candidate centres; later sites
+# reject all of them, or all but d = 5
+_LATE_CENTRE = SuperlatticeSpec((0, 0, 0, 0, 0, 1 + 0.5j, 0, 1 - 0.5j, 0), (1.0,) * 9)
+_NO_CENTRE = SuperlatticeSpec((0, 0, 0, 0, 0, 1 + 0.5j, 0, 1 - 0.4j, 0), (1.0,) * 9)
+_SMALL = [
+    SuperlatticeSpec((0.3 + 0.2j,), (1.0,)),
+    SuperlatticeSpec((0.2 + 0.1j, 0.2 - 0.1j), (1.0, 0.5)),
+    SuperlatticeSpec((0.2 + 0.1j, 0.3 - 0.1j), (1.0, 0.5)),
+    SuperlatticeSpec((0.2, 0.3), (1.0, 0.5)),
+]
+
+
 def test_real_matrix_is_unitarily_similar_and_matches_complex_route():
     rng = np.random.default_rng(5)
     kinds = set()
-    for q in [1, 2] * 20 + list(range(3, 10)) * 20:
-        spec = random_pt_spec(rng, q)
+    random_specs = (random_pt_spec(rng, q) for q in [1, 2] * 20 + list(range(3, 10)) * 20)
+    for spec in itertools.chain(random_specs, [_LATE_CENTRE, _NO_CENTRE, *_SMALL]):
+        q = spec.q
         k = rng.uniform(-math.pi, math.pi)
         h = _uniform_gauge(spec, k)
         reference = eig_complex(bloch_matrix(spec, k))
@@ -146,7 +160,9 @@ def test_real_matrix_is_unitarily_similar_and_matches_complex_route():
             if well_separated:
                 scale = max(1.0, float(np.max(np.abs(reference))))
                 assert multiset_distance(eig_complex(r), reference) <= 1e-9 * scale
-        assert 2 * check_pt_symmetry(spec).center == min(centres)
+        report = check_pt_symmetry(spec)
+        assert report.symmetric == bool(centres)
+        assert report.center == (min(centres) / 2 if centres else None)
     # site (even) and bond (odd) centres at q = 1, 2 and beyond
     assert {(1, 0), (1, 1), (2, 0), (2, 1), (5, 0), (5, 1)} <= kinds
 
@@ -155,9 +171,9 @@ def test_lattice_without_centre_takes_complex_route():
     spec = SuperlatticeSpec((0.1, 0.2 + 1e-3j, 0.5), (1.0, 1.0, 1.0))
     assert not check_pt_symmetry(spec).symmetric
     ks = np.array([0.0, -math.pi / 3, 0.4])
-    values, exact = _spectra([spec.onsite], spec.hopping, ks)
-    assert not exact[0]
-    assert values[0].tobytes() == eig_complex(bloch_matrix(spec, ks)).tobytes()
+    values, exact = _spectra(spec, ks)
+    assert not exact
+    assert values.tobytes() == eig_complex(bloch_matrix(spec, ks)).tobytes()
     diagnosis = diagnose_pt_phase(spec, tol=1.0)
     assert diagnosis.unbroken and diagnosis.max_abs_imag > 0
 
@@ -361,10 +377,11 @@ def test_threshold_coarse_stack_matches_single_diagnoses(monkeypatch, make_famil
 
     def recording_solve(onsite, hopping_, ks, doubled_centre):
         values = solve(onsite, hopping_, ks, doubled_centre)
-        assert np.array_equal(_doubled_centres(onsite, hopping), np.full(len(onsite), doubled_centre))
+        assert all(_doubled_centre(row, hopping) == doubled_centre for row in onsite)
         assert onsite.imag.any(axis=-1).all()  # no Hermitian row, lambda = 0 included
+        assert np.all(ks == ks[0])  # one decisive k per call
         limit = bloch._reality_limit(doubled_centre >= 0, onsite, hopping)
-        for row, imag, real_limit in zip(onsite, np.abs(values.imag).max(axis=(-2, -1)), limit):
+        for row, imag, real_limit in zip(onsite, np.abs(values.imag).max(axis=-1), limit):
             solved.setdefault(row.tobytes(), []).append((float(ks[0]), bool(imag <= real_limit)))
         return values
 
@@ -411,6 +428,45 @@ def test_threshold_memory_stays_small_at_large_period():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_every_lapack_call_stays_within_the_chunk_bound(monkeypatch):
+    calls = []
+    for name in ("eigvals", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, solver=solver: calls.append((a.shape[-1], math.prod(a.shape[:-2]))) or solver(a)
+        )
+    band_structure(build_harper(HarperParams(0.3, 0.134, 1, 60, 0)), 512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        breaking_threshold(harper_family(0.3, 1, 64), lambda_max=0.5)
+    assert {q for q, _ in calls} == {60, 64}
+    bounds = [max(1, bloch._CHUNK_BYTES // (16 * q * q)) for q, _ in calls]
+    assert all(1 <= count <= bound for (_, count), bound in zip(calls, bounds))
+    assert any(count == bound > 1 for (_, count), bound in zip(calls, bounds))
+
+
+def test_bloch_matrix_size_is_refused_before_any_is_built(monkeypatch):
+    # ptsl bands at q = 100000 asked numpy for 149 GiB and exited 1;
+    # threshold --q 400 (2.56 MB per matrix) stays admitted
+    assert 16 * 400**2 <= bloch._MATRIX_BYTES_LIMIT
+    spec = build_harper(HarperParams(0.3, 0.1, 1, 30, 0))
+    monkeypatch.setattr(bloch, "_MATRIX_BYTES_LIMIT", 16 * 30**2)
+    band_structure(spec, 8)
+    monkeypatch.setattr(bloch, "_MATRIX_BYTES_LIMIT", 16 * 30**2 - 1)
+    built = []
+    monkeypatch.setattr(bloch, "_bloch_stack", lambda *args: built.append(args))
+    calls = [
+        lambda: band_structure(spec, 8),
+        lambda: diagnose_pt_phase(spec),
+        lambda: max_growth_rate(spec),
+        lambda: breaking_threshold(harper_family(0.3, 1, 30), lambda_max=0.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"a 30 x 30 Bloch matrix needs 0\.0144 MB, above the 0\.014399 MB limit"):
+            call()
+    assert not built
 
 
 @pytest.mark.parametrize("q", [16, 20, 24])

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptsl.bloch as bloch
 import ptsl.cli as cli
 import ptsl.edge as edge
 from conftest import pt_specs
@@ -456,6 +457,24 @@ def test_evolve_rejects_more_samples_than_the_memory_budget(tmp_path, capsys):
     argv = [*HARPER_FLAGS, "--tmax", "100", "--sites", "10000", "--samples", str(10**8)]
     assert run("evolve", *argv, "--out", str(out)) == 2
     assert "100000000 samples x 10000 sites need 2.4e+07 MB of states and intensities" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", *HARPER_FLAGS],
+        ["threshold", "--delta", "0.3", "--q", "6"],
+        ["sweep", "--delta", "0.3", "--q-range", "6:6"],
+    ],
+    ids=["bands", "threshold", "sweep"],
+)
+def test_bloch_commands_refuse_matrices_above_the_size_limit(monkeypatch, tmp_path, capsys, argv):
+    # ptsl bands at q = 100000 exited 1 "Unable to allocate 149. GiB"
+    monkeypatch.setattr(bloch, "_MATRIX_BYTES_LIMIT", 16 * 6**2 - 1)
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: a 6 x 6 Bloch matrix needs 0.000576 MB, above the 0.000575 MB limit\n"
     assert not out.exists()
 
 

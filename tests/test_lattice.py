@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -181,6 +182,24 @@ def test_tiny_lattice_without_centre_finds_none():
     spec = SuperlatticeSpec((0.1 * scale, (0.2 + 1e-3j) * scale, 0.5 * scale), (scale,) * 3)
     assert not check_pt_symmetry(spec).symmetric
     assert check_pt_symmetry(SuperlatticeSpec((0.1 * scale, 0.1 * scale), (scale,) * 2)).symmetric
+
+
+def test_centre_search_memory_stays_linear_in_the_period():
+    # the (2q, q) candidate comparison peaked at 80 MB at q = 1000; site 0 of
+    # the first lattice passes 998 candidates that later sites reject
+    q = 1000
+    onsite = [0.0] * q
+    onsite[500], onsite[501] = 1 + 0.5j, 1 - 0.4j
+    specs = [SuperlatticeSpec(tuple(onsite), (1.0,) * q), build_harper(HarperParams(0.3, 0.1, 1, q, 7))]
+    check_pt_symmetry(SuperlatticeSpec((0.5, 0.5), (1.0, 1.0)))  # one-time numpy set-up stays unmeasured
+    for spec, symmetric in zip(specs, (False, True)):
+        tracemalloc.start()
+        try:
+            assert check_pt_symmetry(spec).symmetric == symmetric
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def test_centre_test_near_float_limit_warns_nothing():

@@ -8,6 +8,9 @@ first.  Both sides of a pair use the same seed.  For each workload and
 end-to-end metric it writes every run's value, each side's median and
 quartiles, and how many pairs the head commit won (a tie counts for neither
 side), with the commits both revisions resolved to and the host it ran on.
+A run that exits non-zero is recorded under ``failed_runs`` with its exit
+code and the tail of its stderr; a pair with a failed side counts in no
+``head_wins`` and no ``pairs``, and its other side's values stay in ``runs``.
 Run from the repository root:
 
     python3 tools/bench_pairs.py --base <commit> --head <commit> --out BENCH_<n>.json
@@ -46,20 +49,36 @@ def export(commit: str, tree: Path) -> Path:
 
 
 def run(tree: Path, workload: str, seed: int) -> dict:
+    """One run's checks and end-to-end metrics, or its exit code and stderr tail if it failed."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"{tree.name} {workload} seed {seed}: bench/run.py exited {done.returncode}\n"
-                         f"{done.stderr[-2000:]}")
+        return {"exit_code": done.returncode, "stderr_tail": done.stderr[-2000:]}
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"], "failed": result["failed"], "attempted": result["attempted"],
             **{m["name"]: result["metrics"][m["name"]]["value"] for m in BENCHMARK["end_to_end"]}}
 
 
 def summary(values: list[float]) -> dict:
+    if len(values) < 2:  # too few runs for quartiles
+        return {"median": values[0] if values else None, "q1": None, "q3": None, "runs": values}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(runs: dict[str, list[dict]]) -> dict:
+    """One workload's entry from the ``run`` results of each side, in pair order."""
+    ok = {side: [r for r in rs if "exit_code" not in r] for side, rs in runs.items()}
+    entry = {side: {"correct": all(r["correct"] for r in rs), "failed": sum(r["failed"] for r in rs),
+                    "attempted": sum(r["attempted"] for r in rs)} for side, rs in ok.items()}
+    pairs = [(b, h) for b, h in zip(runs["base"], runs["head"]) if "exit_code" not in b and "exit_code" not in h]
+    for metric in BENCHMARK["end_to_end"]:
+        m, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        entry[m] = {side: summary([r[m] for r in rs]) for side, rs in ok.items()}
+        entry[m]["head_wins"] = sum(sign * h[m] < sign * b[m] for b, h in pairs)
+        entry[m]["pairs"] = len(pairs)
+    return entry
 
 
 def main() -> int:
@@ -73,24 +92,19 @@ def main() -> int:
     report = {"command": " ".join(["python3", *sys.argv]), **commits,
               "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                        "python": platform.python_version(), "numpy": np.__version__},
-              "seconds": BENCHMARK["run_seconds"], "seeds": list(SEEDS), "workloads": {}}
+              "seconds": BENCHMARK["run_seconds"], "seeds": list(SEEDS), "workloads": {}, "failed_runs": []}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: export(commit, Path(tmp) / side) for side, commit in commits.items()}
         for workload in (w["name"] for w in BENCHMARK["workloads"]):
             runs = {"base": [], "head": []}
             for i, seed in enumerate(SEEDS):
                 for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                    runs[side].append(run(trees[side], workload, seed))
-                print(workload, seed, {s: runs[s][-1]["wall_s"] for s in runs}, file=sys.stderr)
-            entry = {side: {"correct": all(r["correct"] for r in rs), "failed": sum(r["failed"] for r in rs),
-                            "attempted": sum(r["attempted"] for r in rs)} for side, rs in runs.items()}
-            for metric in BENCHMARK["end_to_end"]:
-                m, sign = metric["name"], 1 if metric["better"] == "lower" else -1
-                base = [r[m] for r in runs["base"]]
-                head = [r[m] for r in runs["head"]]
-                entry[m] = {"base": summary(base), "head": summary(head),
-                            "head_wins": sum(sign * h < sign * b for b, h in zip(base, head)), "pairs": PAIRS}
-            report["workloads"][workload] = entry
+                    result = run(trees[side], workload, seed)
+                    runs[side].append(result)
+                    if "exit_code" in result:
+                        report["failed_runs"].append({"side": side, "workload": workload, "seed": seed, **result})
+                print(workload, seed, {s: runs[s][-1].get("wall_s", "failed") for s in runs}, file=sys.stderr)
+            report["workloads"][workload] = compare(runs)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -37,7 +37,7 @@ Every eigen-solve goes through one chunked solver that pairs on-site row m
 with wave number k_m: one lattice broadcast over a k-grid, or the strengths
 of a family at one decisive k.  LAPACK solves at most ``_CHUNK_BYTES`` of
 matrices per call, and a q x q matrix above ``_MATRIX_BYTES_LIMIT`` is
-refused before any is built.  Since H(-k) = H(k)^T, the spectrum depends on
+refused before any O(q) work.  Since H(-k) = H(k)^T, the spectrum depends on
 k only through cos(kq): on the uniform grid ``_k_grid`` row j mirrors row
 N - j, so bands and growth rates solve only rows 0..N//2.
 
@@ -135,6 +135,16 @@ def _k_grid(q: int, num_k: int) -> np.ndarray:
     return np.linspace(-math.pi / q, math.pi / q, num_k, endpoint=False)
 
 
+def _check_matrix_size(q: int) -> None:
+    """Refuse a q x q Bloch matrix above ``_MATRIX_BYTES_LIMIT`` with ``ValueError``."""
+    matrix_bytes = 16 * q * q
+    if matrix_bytes > _MATRIX_BYTES_LIMIT:
+        raise ValueError(
+            f"a {q} x {q} Bloch matrix needs {matrix_bytes / 1e6:.6g} MB, "
+            f"above the {_MATRIX_BYTES_LIMIT / 1e6:.6g} MB limit"
+        )
+
+
 def _solve(onsite: np.ndarray, hopping, ks: np.ndarray, doubled_centre: int) -> np.ndarray:
     """Eigenvalues ``(M, q)`` of on-site row m of ``(M, q)`` at ``ks[m]``, all sharing one centre.
 
@@ -143,19 +153,12 @@ def _solve(onsite: np.ndarray, hopping, ks: np.ndarray, doubled_centre: int) -> 
     ``j -> (d - 2 - j) mod q``; without one they are H.  Hermitian rows go
     to ``eigvalsh``, which cannot split a degenerate pair into a complex
     one, and the others to ``eigvals``.  LAPACK solves at most
-    ``_CHUNK_BYTES`` of matrices per call, and a matrix above
-    ``_MATRIX_BYTES_LIMIT`` raises ``ValueError`` before any is built.
+    ``_CHUNK_BYTES`` of matrices per call.
     """
     q = onsite.shape[-1]
-    matrix_bytes = 16 * q * q
-    if matrix_bytes > _MATRIX_BYTES_LIMIT:
-        raise ValueError(
-            f"a {q} x {q} Bloch matrix needs {matrix_bytes / 1e6:.6g} MB, "
-            f"above the {_MATRIX_BYTES_LIMIT / 1e6:.6g} MB limit"
-        )
     hermitian = ~onsite.imag.any(axis=-1)
     values = np.empty((len(ks), q), dtype=complex)
-    per_chunk = max(1, _CHUNK_BYTES // matrix_bytes)
+    per_chunk = max(1, _CHUNK_BYTES // (16 * q * q))
     for lo in range(0, len(ks), per_chunk):
         rows = slice(lo, lo + per_chunk)
         h = _bloch_stack(onsite[rows], hopping, ks[rows])
@@ -175,6 +178,7 @@ def _spectra(spec: SuperlatticeSpec, ks: np.ndarray) -> tuple[np.ndarray, bool]:
     A lattice with a parity centre or no Im V has exact spectra: its real
     eigenvalues have Im exactly 0.
     """
+    _check_matrix_size(spec.q)
     onsite = np.asarray(spec.onsite, dtype=complex)
     hopping = np.asarray(spec.hopping, dtype=float)
     centre = _doubled_centre(onsite, hopping)
@@ -306,6 +310,7 @@ def breaking_threshold(
     if not (tol_lambda > 0 and math.isfinite(tol_lambda)):
         raise ValueError(f"tol_lambda must be positive and finite, got {tol_lambda}")
     q = family.q
+    _check_matrix_size(q)
     hopping = np.asarray(family.hopping, dtype=float)
     # the edge that breaks first at lambda = delta goes first (module docstring)
     order = _decisive_k(q)[::-1] if q % 2 else _decisive_k(q)

@@ -41,7 +41,7 @@ from .dynamics import (
     single_site_excitation,
 )
 from .edge import edge_spectrum, spectrum_reality
-from .lattice import LatticeError, ParametricLattice, family_from_json, harper_family
+from .lattice import ParametricLattice, family_from_json, harper_family
 from .numerics import NumericsError
 
 __all__ = ["main"]
@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     try:
         outputs = args.func(args)
         _write_manifest(args.command, _params(args), outputs, started)
-    except (LatticeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericsError, FloatingPointError, MemoryError) as exc:

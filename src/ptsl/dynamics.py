@@ -19,7 +19,10 @@ factor e^{k h mu}.  scipy runs the same test as a Python loop over every
 the same order as in scipy, so the states are bitwise scipy's.  Sample 0
 is psi0 itself, which scipy recomputes from 2s products.  When
 q <= s (scipy's case 0) every sample is its own block, and scipy's case-0
-helper runs as in the public call, from the same plan.
+helper runs as in the public call, from the same plan.  Three private
+names of ``scipy.sparse.linalg._expm_multiply`` remain: the planners
+``LazyOperatorNormInfo`` and ``_fragment_3_1``, and the case-0 helper
+``_expm_multiply_interval_core_0``.
 
 Flipping the global hopping sign is a gauge transformation
 ``psi_n -> (-1)^n psi_n`` and leaves every intensity invariant, so either
@@ -74,8 +77,6 @@ def _chain_hamiltonian(spec: SuperlatticeSpec, n_sites: int):
     """Sparse (CSR) tridiagonal Hamiltonian on sites 1..n_sites with open ends."""
     import scipy.sparse
 
-    if n_sites < 1:
-        raise ValueError("need at least one site")
     cells = np.arange(n_sites) % spec.q
     onsite = np.asarray(spec.onsite, dtype=complex)[cells]
     hopping = -np.asarray(spec.hopping)[cells[:-1]]
@@ -115,15 +116,16 @@ def _sample_states(generator, psi0: np.ndarray, t_max: float, num_samples: int) 
     """``expm_multiply(generator, psi0, start=0, stop=t_max, num=num_samples)``, bitwise.
 
     scipy's interval algorithm with one array per block of samples; see the
-    module docstring.
+    module docstring, which names the private scipy code it uses.
     """
+    import scipy.sparse
     import scipy.sparse.linalg._expm_multiply as em
 
     tol = 2.0**-53
     n = generator.shape[0]
     mu = generator.trace() / float(n)
-    A = generator - mu * em._ident_like(generator)
-    A_1_norm = em._exact_1_norm(A)
+    A = generator - mu * scipy.sparse.identity(n, dtype=generator.dtype, format=generator.format)
+    A_1_norm = abs(A).sum(axis=0).max()
     q = num_samples - 1
     h = t_max / q
     norm_info = em.LazyOperatorNormInfo(t_max * A, A_1_norm=t_max * A_1_norm, ell=2)

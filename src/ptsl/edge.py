@@ -55,7 +55,6 @@ class EdgeStateRecord:
     s11_abs: float
     classification: Classification
     localization_length: float | None
-    period: int
 
 
 class RouteMismatchError(NumericsError):
@@ -183,7 +182,6 @@ def edge_spectrum(
                 s11_abs=s11_abs,
                 classification=cls,
                 localization_length=length,
-                period=q,
             )
         )
     records.sort(key=lambda r: (r.energy.real, r.energy.imag))

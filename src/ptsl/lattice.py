@@ -81,18 +81,22 @@ class SuperlatticeSpec:
 
 @dataclass(frozen=True)
 class ParametricLattice:
-    """Family V_n = V_n^(R) + i*lam*V_n^(I) with tunable non-Hermitian strength."""
+    """Family V_n = V_n^(R) + i*lam*V_n^(I) with tunable non-Hermitian strength.
+
+    Its data must pass :class:`SuperlatticeSpec`'s checks at lam = 1: a period
+    of at least 1, finite on-site parts, and finite, non-zero real hoppings.
+    """
 
     onsite_real: tuple[float, ...]
     onsite_imag: tuple[float, ...]
     hopping: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (len(self.onsite_real) == len(self.onsite_imag) == len(self.hopping)):
+        if len(self.onsite_real) != len(self.onsite_imag):
             raise LatticeError("onsite_real, onsite_imag and hopping must share one period")
         object.__setattr__(self, "onsite_real", tuple(float(v) for v in self.onsite_real))
         object.__setattr__(self, "onsite_imag", tuple(float(v) for v in self.onsite_imag))
-        object.__setattr__(self, "hopping", tuple(float(k) for k in self.hopping))
+        object.__setattr__(self, "hopping", self.at(1.0).hopping)
 
     @property
     def q(self) -> int:
@@ -145,11 +149,7 @@ def harper_family(delta: float, p: int, q: int, n0: int = 0) -> ParametricLattic
     HarperParams(delta=delta, lam=0.0, p=p, q=q, n0=n0)  # validates delta, p, q
     sites = np.arange(1, q + 1)
     phase = 2.0 * np.pi * (p / q) * (sites - n0 % q)  # V depends on n0 mod q only
-    return ParametricLattice(
-        onsite_real=tuple(delta * np.cos(phase)),
-        onsite_imag=tuple(np.sin(phase)),
-        hopping=(1.0,) * q,
-    )
+    return ParametricLattice(delta * np.cos(phase), np.sin(phase), (1.0,) * q)
 
 
 @dataclass(frozen=True)
@@ -249,16 +249,10 @@ def family_from_json(obj: dict) -> tuple[ParametricLattice, float]:
         return harper_family(params.delta, params.p, params.q, params.n0), params.lam
     try:
         q = int(obj["q"])
-        onsite = tuple(complex(re, im) for re, im in obj["onsite"])
+        onsite = [complex(re, im) for re, im in obj["onsite"]]
         hopping = tuple(float(k) for k in obj["hopping"])
     except (KeyError, TypeError, ValueError) as exc:
         raise LatticeError(f"invalid lattice JSON: {exc}") from exc
     if len(onsite) != q:
         raise LatticeError(f"q={q} but {len(onsite)} on-site energies given")
-    spec = SuperlatticeSpec(onsite, hopping)  # validates the period
-    family = ParametricLattice(
-        onsite_real=tuple(v.real for v in spec.onsite),
-        onsite_imag=tuple(v.imag for v in spec.onsite),
-        hopping=spec.hopping,
-    )
-    return family, 1.0
+    return ParametricLattice([v.real for v in onsite], [v.imag for v in onsite], hopping), 1.0

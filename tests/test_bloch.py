@@ -532,6 +532,9 @@ def test_threshold_validates_tolerance(tol):
     # a tolerance below float resolution of the bracket used to bisect forever
     with pytest.raises(ValueError, match="tol_lambda must be positive and finite"):
         breaking_threshold(harper_family(0.3, 1, 6), lambda_max=0.5, tol_lambda=tol)
+    if tol <= 0:
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            diagnose_pt_phase(harper_family(0.3, 1, 6).at(0.1), tol=tol)
 
 
 # ---------------------------------------------------------------------------

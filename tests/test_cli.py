@@ -75,12 +75,26 @@ def test_bands_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         run("bands", "--out", str(tmp_path / "x.csv"))
     assert info.value.code == 2
+    # the Harper flags of bands, edges and evolve are checked by one loader
+    capsys.readouterr()
+    for command in ("bands", "edges"):
+        assert run(command, "--harper", "--delta", "0.3", "--q", "6", "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == "error: --harper needs --delta, --lambda and --q\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
-def test_bands_invalid_lattice_file(tmp_path):
+def test_bands_invalid_lattice_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"q": 2, "onsite": [[0,0]], "hopping": [1, 1]}')
     assert run("bands", "--lattice", str(bad), "--out", str(tmp_path / "x.csv")) == 2
+    # a family from JSON names a wrong hopping count and a zero hopping as a lattice does
+    bad.write_text('{"q": 2, "onsite": [[0,0], [1,0]], "hopping": [1, 1, 1]}')
+    capsys.readouterr()
+    assert run("bands", "--lattice", str(bad), "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == "error: need as many hoppings as on-site energies, got 3 vs 2\n"
+    bad.write_text('{"q": 2, "onsite": [[0,0], [1,0]], "hopping": [1, 0]}')
+    assert run("bands", "--lattice", str(bad), "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == "error: hopping rates must be finite and non-vanishing\n"
     missing = tmp_path / "missing.json"
     assert run("bands", "--lattice", str(missing), "--out", str(tmp_path / "x.csv")) == 2
 
@@ -233,6 +247,14 @@ def test_threshold_rejects_bad_lambda_max(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         run("threshold", "--harper", "--delta", "0.3", "--q", "6")
     assert info.value.code == 2
+    # a family needs a file or both --delta and --q, and a q sweep needs --delta
+    capsys.readouterr()
+    for flags in (["--q", "6"], ["--delta", "0.3"]):
+        assert run("threshold", *flags) == 2
+        assert capsys.readouterr().err == "error: provide --lattice FILE or --delta and --q\n"
+    assert run("threshold", "--q-range", "3:4", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: sweeping q needs --delta\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
@@ -472,6 +494,13 @@ def test_evolve_rejects_more_samples_than_the_memory_budget(tmp_path, capsys):
 def test_bloch_commands_refuse_matrices_above_the_size_limit(monkeypatch, tmp_path, capsys, argv):
     # ptsl bands at q = 100000 exited 1 "Unable to allocate 149. GiB"
     monkeypatch.setattr(bloch, "_MATRIX_BYTES_LIMIT", 16 * 6**2 - 1)
+
+    # threshold and sweep at q = 100000 used to search the centre and build
+    # the (64, q) scan rows first, for 0.5 s and 237 MB
+    def unexpected(*args, **kwargs):
+        raise AssertionError("parity centre searched before the size check")
+
+    monkeypatch.setattr(bloch, "_doubled_centre", unexpected)
     out = tmp_path / "x.csv"
     assert run(*argv, "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: a 6 x 6 Bloch matrix needs 0.000576 MB, above the 0.000575 MB limit\n"
@@ -638,6 +667,15 @@ def test_sweep_usage_errors(tmp_path, capsys):
         )
     assert info.value.code == 2
     assert "argument --p-range: not allowed with argument --q-range" in capsys.readouterr().err
+    errors = [
+        (["--q-range", "3-20"], "range must look like a:b, got '3-20'"),
+        (["--q-range", "3:5", "--sigma-lambda", "foo"], "--sigma-lambda must be a number or 'delta', got 'foo'"),
+        (["--p-range", "1:3"], "--p-range needs a fixed --q"),
+    ]
+    for flags, message in errors:
+        assert run("sweep", "--delta", "0.3", *flags, "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
     # the growth rate's strength is --sigma-lambda; --lambda used to be ignored
     with pytest.raises(SystemExit) as info:
         run("sweep", "--delta", "0.3", "--q-range", "3:5", "--lambda", "0.1", "--out", str(tmp_path / "x.csv"))

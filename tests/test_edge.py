@@ -197,7 +197,6 @@ def test_localization_length_rejects_non_edge():
         s11_abs=1.0,
         classification=Classification.EXTENDED,
         localization_length=None,
-        period=6,
     )
     with pytest.raises(ValueError, match="edge"):
         localization_length(record)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -34,6 +35,29 @@ def test_spec_validation():
         SuperlatticeSpec((0.0,), (1.0 + 0.5j,))
     with pytest.raises(LatticeError, match="finite"):
         SuperlatticeSpec((complex("inf"),), (1.0,))
+    with pytest.raises(LatticeError, match="period must be at least 1"):
+        SuperlatticeSpec((), ())
+
+
+@pytest.mark.parametrize(
+    ("onsite_real", "onsite_imag", "hopping", "message"),
+    [
+        ((0.0, 0.0), (0.1, -0.1), (0.0, 1.0), "hopping rates must be finite and non-vanishing"),
+        ((0.0,), (0.1,), (math.nan,), "hopping rates must be finite and non-vanishing"),
+        ((0.0,), (0.1,), (-math.inf,), "hopping rates must be finite and non-vanishing"),
+        ((0.0,), (0.1,), (1.0 + 0.5j,), "hopping rates must be real"),
+        ((math.nan, 0.0), (0.1, -0.1), (1.0, 1.0), "on-site energies must be finite"),
+        ((0.0,), (math.inf,), (1.0,), "on-site energies must be finite"),
+        ((), (), (), "period must be at least 1"),
+        ((0.1, 0.2), (0.3, 0.4), (1.0,), "need as many hoppings as on-site energies, got 1 vs 2"),
+        ((0.1,), (0.2, 0.3), (1.0,), "onsite_real, onsite_imag and hopping must share one period"),
+    ],
+)
+def test_family_rejects_what_a_lattice_rejects(onsite_real, onsite_imag, hopping, message):
+    # a zero hopping used to reach breaking_threshold and read never_broken,
+    # a NaN on-site energy LAPACK's LinAlgError
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        ParametricLattice(onsite_real, onsite_imag, hopping)
 
 
 def test_periodic_accessors_cover_negative_indices():
@@ -49,6 +73,8 @@ def test_harper_validation():
         HarperParams(delta=0.3, lam=0.1, p=2, q=6)
     with pytest.raises(LatticeError, match="positive"):
         HarperParams(delta=0.3, lam=0.1, p=1, q=0)
+    with pytest.raises(LatticeError, match="numerator p must be a positive integer"):
+        HarperParams(0.3, 0.1, 0, 5)
     with pytest.raises(LatticeError, match="nonnegative"):
         HarperParams(delta=0.3, lam=-0.1, p=1, q=3)
     for delta in (float("nan"), float("inf"), float("-inf")):
@@ -238,3 +264,5 @@ def test_json_validation():
         family_from_json({"harper": {"delta": 0.3}})
     with pytest.raises(LatticeError):
         family_from_json([1, 2, 3])
+    with pytest.raises(LatticeError, match="invalid lattice JSON: not enough values to unpack"):
+        family_from_json({"q": 1, "onsite": [[1]], "hopping": [1]})

@@ -268,8 +268,8 @@ def diagnose_pt_phase(
     a parity centre or without gain and loss is unbroken iff every Im E is
     exactly 0; for any other ``tol`` bounds max |Im E| / max(|V_n|, |kappa_n|).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     ks = _decisive_k(spec.q)
     if guard_points > 0:
         ks = np.concatenate([ks, _k_grid(spec.q, guard_points)])

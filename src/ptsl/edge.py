@@ -1,10 +1,11 @@
 """Semi-infinite lattice: edge-state candidates, classification, reality.
 
 Cutting the chain at site 1 imposes psi_0 = 0.  The candidate energies where
-a second node psi_q = 0 can occur are the eigenvalues of the (q-1) x (q-1)
-tridiagonal matrix built from V_1..V_{q-1} and kappa_1..kappa_{q-2}; they
+a second node psi_q = 0 can occur are the eigenvalues of the open chain on
+sites 1..q-1, the k = 0 Bloch matrix of ``bloch`` with site q cut away; they
 coincide with the roots of the lower-left transfer polynomial s21(E), and
-both routes are computed and cross-checked here.
+both routes are computed and cross-checked here.  The transfer walk and the
+reality limit also come from ``transfer`` and ``bloch``.
 
 At such a candidate the wavefunction obeys ``psi_{Mq+1} = s11(E)^M``, so
 |s11| < 1 means an edge state localized over ``L = -q / ln|s11|^2`` sites,
@@ -19,10 +20,10 @@ from enum import Enum
 
 import numpy as np
 
-from .bloch import REALITY_TOL, diagnose_pt_phase
-from .lattice import SuperlatticeSpec, _energy_scale
+from .bloch import _reality_limit, bloch_matrix, diagnose_pt_phase
+from .lattice import SuperlatticeSpec
 from .numerics import NumericsError, eig_complex, poly_roots
-from .transfer import period_matrix, site_matrix, symbolic_period_matrix
+from .transfer import _walk, period_matrix, symbolic_period_matrix
 
 __all__ = [
     "Classification",
@@ -71,15 +72,16 @@ class RouteMismatchError(NumericsError):
 
 
 def edge_candidate_matrix(spec: SuperlatticeSpec) -> np.ndarray:
-    """(q-1) x (q-1) tridiagonal matrix whose eigenvalues are the candidates."""
+    """(q-1) x (q-1) open chain on sites 1..q-1, whose eigenvalues are the candidates.
+
+    It is the k = 0 Bloch matrix without its row and column q: at k = 0
+    every uniform-gauge bond carries -kappa_n, and the only bonds that
+    leave sites 1..q-1 touch site q.
+    """
     q = spec.q
     if q < 2:
         raise ValueError("candidate matrix needs period q >= 2")
-    m = np.diag(np.asarray(spec.onsite[: q - 1], dtype=complex))
-    for n in range(q - 2):
-        m[n, n + 1] = -spec.hopping[n]
-        m[n + 1, n] = -spec.hopping[n]
-    return m
+    return bloch_matrix(spec, 0.0)[: q - 1, : q - 1]
 
 
 def _perfect_matching(adjacent: np.ndarray) -> list[int] | None:
@@ -198,17 +200,16 @@ def localization_length(record: EdgeStateRecord) -> float:
 def psi_witness(spec: SuperlatticeSpec, energy: complex, periods: int) -> np.ndarray:
     """Amplitude pairs (psi_{Mq}, psi_{Mq+1}) for M = 0..periods.
 
-    Direct site-by-site recursion from psi_0 = 0, psi_1 = 1; at an s21 root
-    this sequence realizes psi_{Mq} = 0 and psi_{Mq+1} = s11^M, which makes
-    it an independent witness of the classification.
+    Direct site-by-site recursion from psi_0 = 0, psi_1 = 1, one period per
+    walk; at an s21 root this sequence realizes psi_{Mq} = 0 and
+    psi_{Mq+1} = s11^M, which makes it an independent witness of the
+    classification.
     """
-    q = spec.q
     vec = np.array([1.0, 0.0], dtype=complex)  # (psi_1, psi_0)
     out = np.empty((periods + 1, 2), dtype=complex)
     out[0] = (0.0, 1.0)
     for m in range(1, periods + 1):
-        for n in range((m - 1) * q + 1, m * q + 1):
-            vec = site_matrix(spec, n, energy) @ vec
+        vec = _walk(spec, energy, vec)
         out[m] = (vec[1], vec[0])
     return out
 
@@ -228,7 +229,8 @@ def spectrum_reality(
 
     True iff the infinite lattice is in the unbroken phase and every
     edge-classified candidate energy has |Im E| at most ``REALITY_TOL``
-    times the lattice's largest |V_n| or |kappa_n|; extended candidates
+    times the lattice's largest |V_n| or |kappa_n|, the limit ``bloch``
+    sets for a spectrum that is not exact; extended candidates
     belong to the (then real) continuous spectrum and candidates outside
     the spectrum are immaterial.  ``records`` is the census of
     ``spec`` when the caller already has it, else it is computed here.
@@ -236,7 +238,7 @@ def spectrum_reality(
     unbroken = diagnose_pt_phase(spec).unbroken
     if records is None:
         records = edge_spectrum(spec)
-    tol = REALITY_TOL * _energy_scale(spec.onsite, spec.hopping)
+    tol = _reality_limit(False, spec.onsite, spec.hopping)
     offenders = tuple(
         r.energy for r in records if r.classification is Classification.EDGE and abs(r.energy.imag) > tol
     )

@@ -10,7 +10,8 @@ eigenvalues are exp(+-i theta) with ``cos(theta) = tr S / 2``.  E belongs to
 the continuous spectrum of the infinite lattice exactly when theta is real,
 i.e. ``tr S`` real with ``|tr S| <= 2``.
 
-All four entries of S are polynomials in E (degrees q, q-1, q-1, q-2), which
+:func:`period_matrix` and ``edge.psi_witness`` step through the q site
+factors with one walk, ``_walk``.  All four entries of S are polynomials in E (degrees q, q-1, q-1, q-2), which
 :func:`symbolic_period_matrix` builds exactly by polynomial products, as
 arrays of ascending coefficients.
 """
@@ -27,7 +28,6 @@ from .numerics import NumericsError
 
 __all__ = [
     "TransferMatrix",
-    "site_matrix",
     "period_matrix",
     "transfer_power",
     "symbolic_period_matrix",
@@ -63,33 +63,22 @@ class TransferMatrix:
         return np.array([[self.s11, self.s12], [self.s21, self.s22]], dtype=complex)
 
 
-def site_matrix(spec: SuperlatticeSpec, n: int, energy: complex) -> np.ndarray:
-    """Single-site step matrix [[(V_n - E)/kappa_n, -kappa_{n-1}/kappa_n], [1, 0]].
+def _walk(spec: SuperlatticeSpec, energy: complex, x: np.ndarray) -> np.ndarray:
+    """M_q(E) ... M_1(E) @ x for a vector (psi_1, psi_0) or a 2x2 array ``x``.
 
-    Site indices are reduced modulo the period, so ``kappa_0`` resolves to
-    ``kappa_q``.
+    The one float builder of the site factor M_n = [[(V_n - E)/kappa_n,
+    -kappa_{n-1}/kappa_n], [1, 0]], with kappa_0 = kappa_q.
     """
-    v_n = spec.onsite_at(n)
-    k_n = spec.hopping_at(n)
-    k_prev = spec.hopping_at(n - 1)
-    return np.array(
-        [[(v_n - energy) / k_n, -k_prev / k_n], [1.0, 0.0]],
-        dtype=complex,
-    )
+    previous = spec.hopping[-1:] + spec.hopping[:-1]
+    for v_n, k_n, k_prev in zip(spec.onsite, spec.hopping, previous):
+        x = np.array([[(v_n - energy) / k_n, -k_prev / k_n], [1.0, 0.0]], dtype=complex) @ x
+    return x
 
 
 def period_matrix(spec: SuperlatticeSpec, energy: complex) -> TransferMatrix:
     """Ordered one-period product M_q ... M_1 at the given energy."""
-    product = np.eye(2, dtype=complex)
-    for n in range(1, spec.q + 1):
-        product = site_matrix(spec, n, energy) @ product
-    return TransferMatrix(
-        s11=product[0, 0],
-        s12=product[0, 1],
-        s21=product[1, 0],
-        s22=product[1, 1],
-        energy=complex(energy),
-    )
+    (s11, s12), (s21, s22) = _walk(spec, energy, np.eye(2, dtype=complex))
+    return TransferMatrix(s11=s11, s12=s12, s21=s21, s22=s22, energy=complex(energy))
 
 
 def transfer_power(matrix: TransferMatrix, power: int) -> np.ndarray:

@@ -537,6 +537,21 @@ def test_threshold_validates_tolerance(tol):
             diagnose_pt_phase(harper_family(0.3, 1, 6).at(0.1), tol=tol)
 
 
+@pytest.mark.parametrize(
+    "spec, tol",
+    [
+        # broken (max |Im E| = 0.1) and uncentred: tol = inf used to call it unbroken
+        (SuperlatticeSpec((0.5 + 0.1j, 0.5 + 0.1j), (1.0, 1.0)), math.inf),
+        # unbroken at the default (max |Im E| = 7.2e-13): tol = nan used to call it broken
+        (SuperlatticeSpec((0.5 + 1e-12j, 0.2), (1.0, 0.7)), math.nan),
+    ],
+)
+def test_phase_rejects_non_finite_tolerance(spec, tol):
+    assert diagnose_pt_phase(spec).unbroken == math.isnan(tol)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        diagnose_pt_phase(spec, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # growth rate
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import multiset_distance, pt_specs
+from conftest import multiset_distance, pt_specs, random_pt_spec
 from ptsl import (
     Classification,
     EdgeStateRecord,
@@ -58,6 +58,31 @@ def test_real_candidate_matrix_takes_real_solver():
     m = edge_candidate_matrix(spec)
     assert m.dtype == complex
     assert eig_complex(m).tobytes() == np.linalg.eigvals(m.real).astype(complex).tobytes()
+
+
+def _tridiagonal(spec):
+    # the open chain on sites 1..q-1, entry by entry
+    q = spec.q
+    m = np.diag(np.asarray(spec.onsite[: q - 1], dtype=complex))
+    for n in range(q - 2):
+        m[n, n + 1] = m[n + 1, n] = -spec.hopping[n]
+    return m
+
+
+def test_candidate_matrix_eigenvalues_match_explicit_tridiagonal_bytewise():
+    # lambda = 0 rows are real and take the real solver
+    rng = np.random.default_rng(5)
+    specs = [random_pt_spec(rng, int(rng.integers(2, 21))) for _ in range(100)]
+    specs += [
+        build_harper(HarperParams(0.3, lam, 1, q, n0))
+        for q in range(2, 21)
+        for n0 in range(q)
+        for lam in (0.0, 0.134, 1.0)
+    ]
+    for spec in specs:
+        m, expected = edge_candidate_matrix(spec), _tridiagonal(spec)
+        assert m.shape == expected.shape and np.array_equal(m, expected)
+        assert eig_complex(m).tobytes() == eig_complex(expected).tobytes()
 
 
 def test_candidate_matrix_needs_two_sites():

@@ -6,7 +6,7 @@ from numpy.polynomial import polynomial as P
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pt_specs
+from conftest import pt_specs, random_pt_spec
 from ptsl import (
     HarperParams,
     NumericsError,
@@ -15,7 +15,7 @@ from ptsl import (
     band_structure,
     build_harper,
     period_matrix,
-    site_matrix,
+    psi_witness,
     symbolic_period_matrix,
     transfer_power,
 )
@@ -32,27 +32,16 @@ bounded_energy = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
 # ---------------------------------------------------------------------------
 
 
-def test_site_matrix_with_vanishing_diagonal_term():
+def test_period_matrix_two_site_with_vanishing_diagonal_term():
+    # M_1 = [[(0.5 + 0.25)/2, -4/2], [1, 0]] and M_2 = [[0, -2/4], [1, 0]], since V_2 - E = 0
     spec = SuperlatticeSpec((0.5, -0.25), (2.0, 4.0))
-    m = site_matrix(spec, 2, energy=-0.25)  # V_2 - E = 0
-    assert np.allclose(m, [[0.0, -2.0 / 4.0], [1.0, 0.0]])
-
-
-def test_site_matrix_uniform_lattice_hand_value():
-    spec = SuperlatticeSpec((0.0,), (1.0,))
-    assert np.allclose(site_matrix(spec, 1, -2.0), [[2.0, -1.0], [1.0, 0.0]])
-
-
-def test_site_matrix_determinant_is_hopping_ratio():
-    spec = SuperlatticeSpec((0.1j, -0.1j, 0.3), (0.5, -0.8, 1.25))
-    for n in range(1, 4):
-        det = np.linalg.det(site_matrix(spec, n, 0.37 + 0.11j))
-        assert abs(det - spec.hopping_at(n - 1) / spec.hopping_at(n)) < 1e-14
+    s = period_matrix(spec, -0.25)
+    assert np.allclose(s.as_array(), [[-0.5, 0.0], [0.375, -2.0]])
 
 
 def test_period_matrix_single_site_closed_form():
     spec = SuperlatticeSpec((0.0,), (1.0,))
-    for energy in (0.0, 1.5, -0.4 + 0.2j):
+    for energy in (0.0, 1.5, -0.4 + 0.2j, -2.0):
         s = period_matrix(spec, energy)
         assert np.allclose(s.as_array(), [[-energy, -1.0], [1.0, 0.0]])
 
@@ -72,6 +61,41 @@ def test_period_matrix_eigenvalues_are_exp_of_theta():
         expected = sorted([cmath.exp(1j * theta), cmath.exp(-1j * theta)], key=abs)
         observed = sorted(np.linalg.eigvals(s.as_array()), key=abs)
         assert max(abs(a - b) for a, b in zip(expected, observed)) < 1e-9
+
+
+def _site_matrix(spec, n, energy):
+    # one site factor, indices reduced mod q, built entry by entry
+    v_n, k_n, k_prev = spec.onsite_at(n), spec.hopping_at(n), spec.hopping_at(n - 1)
+    return np.array([[(v_n - energy) / k_n, -k_prev / k_n], [1.0, 0.0]], dtype=complex)
+
+
+def _reference_lattices():
+    rng = np.random.default_rng(31)
+    specs = [random_pt_spec(rng, int(rng.integers(1, 21))) for _ in range(60)]
+    specs += [build_harper(HarperParams(0.3, 0.134, 1, q, n0)) for q in (6, 19, 29) for n0 in range(q)]
+    return specs
+
+
+def test_period_matrix_matches_site_by_site_product_bitwise():
+    for spec in _reference_lattices():
+        for energy in (0.3 + 0.1j, -1.2, 1.7058 + 0.0712j):
+            product = np.eye(2, dtype=complex)
+            for n in range(1, spec.q + 1):
+                product = _site_matrix(spec, n, energy) @ product
+            assert period_matrix(spec, energy).as_array().tobytes() == product.tobytes()
+
+
+def test_psi_witness_matches_site_by_site_walk_bitwise():
+    periods = 4
+    for spec in _reference_lattices():
+        for energy in (0.3 + 0.1j, -1.2, 1.7058 + 0.0712j):
+            vec = np.array([1.0, 0.0], dtype=complex)
+            expected = [(0.0, 1.0)]
+            for n in range(1, periods * spec.q + 1):
+                vec = _site_matrix(spec, n, energy) @ vec
+                if n % spec.q == 0:
+                    expected.append((vec[1], vec[0]))
+            assert psi_witness(spec, energy, periods).tobytes() == np.array(expected, dtype=complex).tobytes()
 
 
 def test_nonunimodular_input_rejected():

@@ -8,6 +8,10 @@ first.  Both sides of a pair use the same seed.  For each workload and
 end-to-end metric it writes every run's value, each side's median and
 quartiles, and how many pairs the head commit won (a tie counts for neither
 side), with the commits both revisions resolved to and the host it ran on.
+Each successful run also records ``min_batch_samples``, the fewest host-speed
+samples in any of its batches (the shortest list of ``kernel_wall_s`` in its
+``bench/runs/<workload>.times.json``); a batch with none makes ``bench/run.py``
+exit with ``StatisticsError``, so each side's minimum shows the margin left.
 A run that exits non-zero is recorded under ``failed_runs`` with its exit
 code and the tail of its stderr; a pair with a failed side counts in no
 ``head_wins`` and no ``pairs``, and its other side's values stay in ``runs``.
@@ -49,14 +53,16 @@ def export(commit: str, tree: Path) -> Path:
 
 
 def run(tree: Path, workload: str, seed: int) -> dict:
-    """One run's checks and end-to-end metrics, or its exit code and stderr tail if it failed."""
+    """One run's checks, end-to-end metrics and ``min_batch_samples``, or its exit code and stderr tail if it failed."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         return {"exit_code": done.returncode, "stderr_tail": done.stderr[-2000:]}
     result = json.loads(done.stdout.strip().splitlines()[-1])
+    times = json.loads((tree / "bench" / "runs" / f"{workload}.times.json").read_text(encoding="utf-8"))
     return {"correct": result["correct"], "failed": result["failed"], "attempted": result["attempted"],
+            "min_batch_samples": min(map(len, times["kernel_wall_s"])),
             **{m["name"]: result["metrics"][m["name"]]["value"] for m in BENCHMARK["end_to_end"]}}
 
 
@@ -72,6 +78,8 @@ def compare(runs: dict[str, list[dict]]) -> dict:
     ok = {side: [r for r in rs if "exit_code" not in r] for side, rs in runs.items()}
     entry = {side: {"correct": all(r["correct"] for r in rs), "failed": sum(r["failed"] for r in rs),
                     "attempted": sum(r["attempted"] for r in rs)} for side, rs in ok.items()}
+    entry["min_batch_samples"] = {side: {"min": min((r["min_batch_samples"] for r in rs), default=None),
+                                         "runs": [r["min_batch_samples"] for r in rs]} for side, rs in ok.items()}
     pairs = [(b, h) for b, h in zip(runs["base"], runs["head"]) if "exit_code" not in b and "exit_code" not in h]
     for metric in BENCHMARK["end_to_end"]:
         m, sign = metric["name"], 1 if metric["better"] == "lower" else -1

@@ -53,7 +53,7 @@ def export(commit: str, tree: Path) -> Path:
 
 
 def run(tree: Path, workload: str, seed: int) -> dict:
-    """One run's checks, end-to-end metrics and ``min_batch_samples``, or its exit code and stderr tail if it failed."""
+    """One run's checks, metrics and ``min_batch_samples``, or its exit code and stderr tail if it failed."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)

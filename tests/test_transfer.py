@@ -69,6 +69,25 @@ def _site_matrix(spec, n, energy):
     return np.array([[(v_n - energy) / k_n, -k_prev / k_n], [1.0, 0.0]], dtype=complex)
 
 
+def test_site_matrix_uniform_lattice_hand_value():
+    # for q = 1 the period matrix is the one site factor
+    spec = SuperlatticeSpec((0.0,), (1.0,))
+    assert np.allclose(_site_matrix(spec, 1, -2.0), [[2.0, -1.0], [1.0, 0.0]])
+    assert np.allclose(period_matrix(spec, -2.0).as_array(), [[2.0, -1.0], [1.0, 0.0]])
+
+
+def test_site_matrix_determinant_is_hopping_ratio():
+    # the per-site ratios kappa_{n-1}/kappa_n telescope to det S = 1 over the walk period_matrix takes
+    spec = SuperlatticeSpec((0.1j, -0.1j, 0.3), (0.5, -0.8, 1.25))
+    energy = 0.37 + 0.11j
+    product = np.eye(2, dtype=complex)
+    for n in range(1, 4):
+        m = _site_matrix(spec, n, energy)
+        assert abs(np.linalg.det(m) - spec.hopping_at(n - 1) / spec.hopping_at(n)) < 1e-14
+        product = m @ product
+    assert period_matrix(spec, energy).as_array().tobytes() == product.tobytes()
+
+
 def _reference_lattices():
     rng = np.random.default_rng(31)
     specs = [random_pt_spec(rng, int(rng.integers(1, 21))) for _ in range(60)]

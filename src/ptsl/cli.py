@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bloch
 from .bloch import band_gaps, band_structure, breaking_threshold, harper_growth_rate, max_growth_rate
 from .dynamics import (
     _check_fit_window,
@@ -278,6 +278,7 @@ def _cmd_sweep(args) -> list[Path]:
             raise ValueError("--p-range needs a fixed --q")
         params = _parse_range(args.p_range)
         make_family = lambda p: harper_family(args.delta, p, args.q, args.n0)  # noqa: E731
+    bloch._check_matrix_size(params[-1] if args.q_range is not None else args.q)  # before row one builds its family
     rows = []
     for param in params:
         family = make_family(param)

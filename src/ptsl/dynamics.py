@@ -2,27 +2,23 @@
 
 Solves ``i dpsi/dt = H psi`` for the chain restricted to sites 1..N with
 open ends, H carrying the superlattice's on-site energies and ``-kappa``
-hoppings.  H is tridiagonal and stored sparse; the samples
-``psi(t_j) = exp(-i H t_j) psi0`` on the uniform time grid are those of
-scipy's ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011,
-Alg. 5.2), which works to double precision, bit for bit.
+hoppings.  The samples ``psi(t_j) = exp(-i H t_j) psi0`` on the uniform time
+grid come from Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Alg.
+5.2, which works to double precision, and equal scipy's ``expm_multiply``
+bit for bit on numpy alone.  The tridiagonal A = -iH - mu*I, mu = tr(-iH)/N,
+is kept as its (N, 3) rows, and its product rounds as a sparse one.  The
+Taylor degree m* and step count s come from the paper's theta_m and code
+fragment (3.1), fed exact 1-norms of (tA)^p for p <= 9 where the paper
+estimates them at random; no random number is drawn.
 
-The algorithm splits the q = samples - 1 steps of h = t_max/q into blocks of
-d = q // s samples, with scipy's own Taylor degree m* and step count s for
-the trace-shifted matrix A = -iH - mu*I.  From the block's first state Z it
-forms the Taylor vectors K_p = (hA)^p / p! Z once, and the block's d
-samples as one (d, N) array, adding k^p K_p to row k term by term.  Each
-term stops every finished row with one vector comparison of scipy's test
-c1 + c2 <= 2^-53 ||F_k||_inf, and those rows leave the array with their
-factor e^{k h mu}.  scipy runs the same test as a Python loop over every
-(sample, term) pair.  Each row sees the same floating-point operations in
-the same order as in scipy, so the states are bitwise scipy's.  Sample 0
-is psi0 itself, which scipy recomputes from 2s products.  When
-q <= s (scipy's case 0) every sample is its own block, and scipy's case-0
-helper runs as in the public call, from the same plan.  Three private
-names of ``scipy.sparse.linalg._expm_multiply`` remain: the planners
-``LazyOperatorNormInfo`` and ``_fragment_3_1``, and the case-0 helper
-``_expm_multiply_interval_core_0``.
+The q = samples - 1 steps of h = t_max/q form blocks of d = q // s samples.
+From the block's first state Z come the Taylor vectors K_p = (hA)^p / p! Z,
+once, and the block's samples as one (d, N) array, adding k^p K_p to row k
+term by term.  Each term ends every finished row with one vector comparison
+of the test c1 + c2 <= 2^-53 ||F_k||_inf, and those rows leave with their
+factor e^{k h mu}.  Each row sees the floating-point operations of a loop
+over every (sample, term) pair, in its order.  Sample 0 is psi0.  When
+q <= s, each sample is a step of its own, planned for t_max/q.
 
 Flipping the global hopping sign is a gauge transformation
 ``psi_n -> (-1)^n psi_n`` and leaves every intensity invariant, so either
@@ -60,6 +56,14 @@ _BOUNDARY_FRACTION = 1e-6
 # per entry), checked before any state is allocated; 10^4 sites x 2,000
 # samples need 480 MB
 _STATE_BYTES_LIMIT = 2 * 10**9
+_TOL = 2.0**-53
+# theta_m of Al-Mohy & Higham (2011); ||tA||_1 alone plans up to 2 ell p_max (p_max + 3) theta_55 / 55 (3.13)
+_THETA = dict(zip([*range(1, 31), 35, 40, 45, 50, 55], [
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1, 2.14e-1, 3.00e-1,
+    4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86,
+    3.08, 3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9,
+]))
+_NORM_ONLY_LIMIT = 352 * (_THETA[55] / 55.0)
 
 
 @dataclass(frozen=True)
@@ -73,14 +77,68 @@ class PropagationResult:
     period: int
 
 
-def _chain_hamiltonian(spec: SuperlatticeSpec, n_sites: int):
-    """Sparse (CSR) tridiagonal Hamiltonian on sites 1..n_sites with open ends."""
-    import scipy.sparse
-
+def _chain_rows(spec: SuperlatticeSpec, n_sites: int) -> tuple[np.ndarray, complex]:
+    """Rows (A[i, i-1], A[i, i], A[i, i+1]) of A = -iH - mu*I on sites 1..n_sites, and mu = tr(-iH)/n_sites,
+    built with the operations that expm_multiply applies to a sparse -1j * H."""
     cells = np.arange(n_sites) % spec.q
-    onsite = np.asarray(spec.onsite, dtype=complex)[cells]
-    hopping = -np.asarray(spec.hopping)[cells[:-1]]
-    return scipy.sparse.diags([hopping, onsite, hopping], [-1, 0, 1], format="csr")
+    diagonal = np.asarray(spec.onsite, dtype=complex)[cells] * -1j
+    mu = diagonal.sum() / float(n_sites)
+    rows = np.zeros((n_sites, 3), dtype=complex)
+    rows[1:, 0] = rows[:-1, 2] = (-np.asarray(spec.hopping)[cells[:-1]]).astype(complex) * -1j
+    rows[:, 1] = diagonal - mu
+    return rows, mu
+
+
+def _matvec(rows: np.ndarray):
+    """x -> A x, rounded as a sparse product: each complex term's four real products rounded before they add,
+    each row's three terms summed left to right.  numpy's complex multiply may fuse a.r*b.r - a.i*b.i, which
+    is exact only where one product is 0: the hoppings have real part 0, and the diagonal acts as its real
+    part plus its imaginary part."""
+    padded = np.zeros(len(rows) + 2, dtype=complex)
+    lower, real, imag, upper = rows[:, 0].copy(), rows[:, 1].real + 0j, rows[:, 1].imag * 1j, rows[:, 2].copy()
+
+    def product(x: np.ndarray) -> np.ndarray:
+        padded[1:-1] = x
+        diagonal = real * x
+        diagonal += imag * x
+        y = lower * padded[:-2]
+        y += diagonal
+        y += upper * padded[2:]
+        return y
+
+    return product
+
+
+def _power_norms(rows: np.ndarray, period: int) -> list[float]:
+    """Exact ||A^p||_1, p = 1..9.  Probe r sums the columns j = r mod 19, which A^p spreads over rows j-p..j+p,
+    so they never meet and column j's 1-norm sums its own 19 rows.  Away from the ends those rows repeat with
+    the period, so whole periods cut from the middle of a long chain change no column's norm."""
+    cut = max(0, (len(rows) - 38 - period) // period) * period
+    rows = np.concatenate((rows[:19], rows[19 + cut :]))
+    j = np.arange(len(rows))
+    probes = np.zeros((len(rows) + 2, 19), dtype=complex)
+    probes[j + 1, j % 19] = 1.0
+    own_rows = (j[:, None] + np.arange(19), j[:, None] % 19)  # rows j-9..j+9 below a 9-row border
+    norms = []
+    for _ in range(9):
+        probes[1:-1] = rows[:, :1] * probes[:-2] + rows[:, 1:2] * probes[1:-1] + rows[:, 2:] * probes[2:]
+        norms.append(float(np.pad(np.abs(probes[1:-1]), ((9, 9), (0, 0)))[own_rows].sum(axis=1).max()))
+    return norms
+
+
+def _plan(one_norm: float, power_norms: list[float] | None, scale: float = 1.0) -> tuple[int, int]:
+    """Taylor degree m* and step count s for scale * tA: code fragment (3.1) of Al-Mohy & Higham (2011) for one
+    column, m_max = 55 and p_max = 8, in scipy's floating-point operations, from one_norm = ||tA||_1 and,
+    past (3.13), power_norms = ||(tA)^p||_1 for p = 1..9."""
+    if scale * one_norm <= _NORM_ONLY_LIMIT:
+        plans = ((m, math.ceil(scale * one_norm / theta)) for m, theta in _THETA.items())
+    else:
+        d = [scale * norm ** (1.0 / p) for p, norm in enumerate(power_norms, 1)]  # d[p - 1] = d_p
+        plans = (
+            (m, math.ceil(max(d[p - 1], d[p]) / theta))
+            for p in range(2, 9) for m, theta in _THETA.items() if m >= p * (p - 1) - 1
+        )
+    return min(plans, key=lambda plan: plan[0] * plan[1])  # s >= 1: every norm here is positive
 
 
 def _check_norm_time(spec: SuperlatticeSpec, t_max: float) -> None:
@@ -112,28 +170,37 @@ def single_site_excitation(n_sites: int, site: int = 1) -> np.ndarray:
     return psi0
 
 
-def _sample_states(generator, psi0: np.ndarray, t_max: float, num_samples: int) -> np.ndarray:
-    """``expm_multiply(generator, psi0, start=0, stop=t_max, num=num_samples)``, bitwise.
-
-    scipy's interval algorithm with one array per block of samples; see the
-    module docstring, which names the private scipy code it uses.
-    """
-    import scipy.sparse
-    import scipy.sparse.linalg._expm_multiply as em
-
-    tol = 2.0**-53
-    n = generator.shape[0]
-    mu = generator.trace() / float(n)
-    A = generator - mu * scipy.sparse.identity(n, dtype=generator.dtype, format=generator.format)
-    A_1_norm = abs(A).sum(axis=0).max()
+def _sample_states(rows: np.ndarray, mu: complex, period: int, psi0: np.ndarray, t_max: float, num_samples: int):
+    """``expm_multiply(A + mu I, psi0, start=0, stop=t_max, num=num_samples)``, bitwise (module docstring)."""
+    product = _matvec(rows)
+    magnitudes = np.pad(np.abs(rows), ((1, 1), (0, 0)))  # ||A||_1 added up as a sparse column sum
+    one_norm = t_max * ((magnitudes[:-2, 2] + magnitudes[1:-1, 1]) + magnitudes[2:, 0]).max()
+    power_norms = _power_norms(t_max * rows, period) if one_norm > _NORM_ONLY_LIMIT else None
     q = num_samples - 1
     h = t_max / q
-    norm_info = em.LazyOperatorNormInfo(t_max * A, A_1_norm=t_max * A_1_norm, ell=2)
-    m_star, s = (0, 1) if t_max * A_1_norm == 0 else em._fragment_3_1(norm_info, 1, tol, ell=2)
-    states = np.empty((num_samples, n), dtype=complex)
+    m_star, s = _plan(one_norm, power_norms)
+    states = np.empty((num_samples, len(rows)), dtype=complex)
     states[0] = psi0
-    if q <= s:  # scipy's case 0 re-plans (m*, s) for a single step and runs it per sample
-        return em._expm_multiply_interval_core_0(A, states, h, mu, q, norm_info, tol, 2, 1)[0]
+    if q <= s:  # s steps per sample, planned for t_max / q; the exact ||F||_inf is taken only where its
+        # bound, (||F|| at the step start + every term's c2) (1 + 1e-12) + 1e-300, lets the test pass
+        m_star, s = _plan(one_norm, power_norms, 1.0 / q)
+        eta = np.exp(h * mu / float(s))
+        for k in range(q):
+            F = x = states[k]
+            for _ in range(s):
+                c1 = np.abs(x).max()
+                bound = c1 + 1e-300
+                for j in range(m_star):
+                    x = h / float(s * (j + 1)) * product(x)
+                    c2 = np.abs(x).max()
+                    F = F + x
+                    bound += c2
+                    if c1 + c2 <= _TOL * bound * (1 + 1e-12) and c1 + c2 <= _TOL * np.abs(F).max():
+                        break
+                    c1 = c2
+                F = x = eta * F
+            states[k + 1] = F
+        return states
 
     d = q // s
     for start in range(0, q, d):
@@ -142,11 +209,11 @@ def _sample_states(generator, psi0: np.ndarray, t_max: float, num_samples: int) 
         F = np.tile(term, (k.size, 1))
         c1 = np.abs(term).max()
         for p in range(1, m_star + 1):
-            term = h * A.dot(term) / float(p)
+            term = h * product(term) / float(p)
             coeff = (k.astype(object) ** p).astype(float)  # float(k**p), exactly as scipy rounds it
             F += coeff[:, None] * term
             c2 = coeff * np.abs(term).max()
-            done = c1 + c2 <= tol * np.abs(F).max(axis=1)
+            done = c1 + c2 <= _TOL * np.abs(F).max(axis=1)
             if done.any():
                 states[start + k[done]] = np.exp(k[done] * h * mu)[:, None] * F[done]
                 F, k, c2 = F[~done], k[~done], c2[~done]
@@ -189,10 +256,10 @@ def propagate(
         )
     _check_norm_time(spec, t_max)
 
-    generator = -1j * _chain_hamiltonian(spec, n_sites)
+    rows, mu = _chain_rows(spec, n_sites)
     times = np.linspace(0.0, t_max, num_samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        states = _sample_states(generator, psi0, t_max, num_samples)
+        states = _sample_states(rows, mu, spec.q, psi0, t_max, num_samples)
         intensities = np.abs(states) ** 2
         total = intensities.sum(axis=1)
     # a non-finite state, intensity or norm makes its sample's total non-finite

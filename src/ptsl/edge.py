@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bloch import _reality_limit, bloch_matrix, diagnose_pt_phase
+from .bloch import _check_matrix_size, _reality_limit, bloch_matrix, diagnose_pt_phase
 from .lattice import SuperlatticeSpec
 from .numerics import NumericsError, eig_complex, poly_roots
 from .transfer import _walk, period_matrix, symbolic_period_matrix
@@ -159,6 +159,7 @@ def edge_spectrum(
     A period-1 lattice has no candidates and returns the empty list.
     """
     q = spec.q
+    _check_matrix_size(q)  # the size limit of ``bands``, before the candidate matrix is built
     if q < 2:
         return []
     candidates = eig_complex(edge_candidate_matrix(spec))

@@ -507,6 +507,39 @@ def test_bloch_commands_refuse_matrices_above_the_size_limit(monkeypatch, tmp_pa
     assert not out.exists()
 
 
+def test_edges_refuses_a_candidate_matrix_above_the_size_limit(monkeypatch, tmp_path, capsys):
+    # edges at q = 20000 asked for a 5.96 GiB candidate matrix; it now exits
+    # with the message of bands before anything is built
+    monkeypatch.setattr(bloch, "_MATRIX_BYTES_LIMIT", 16 * 6**2 - 1)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("candidate matrix built before the size check")
+
+    monkeypatch.setattr(edge, "edge_candidate_matrix", unexpected)
+    out = tmp_path / "x.csv"
+    assert run("edges", *HARPER_FLAGS, "--n0", "1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: a 6 x 6 Bloch matrix needs 0.000576 MB, above the 0.000575 MB limit\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--q-range", "3:6"], ["--q", "6", "--p-range", "1:2"]], ids=["q-range", "p-range"]
+)
+def test_sweep_checks_its_largest_period_before_the_first_row(monkeypatch, tmp_path, capsys, flags):
+    # sweep --q-range 100000:100000 built and looped over the 100000-site
+    # family for sigma before the threshold refused the matrix
+    monkeypatch.setattr(bloch, "_MATRIX_BYTES_LIMIT", 16 * 6**2 - 1)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("sigma computed before the size check")
+
+    monkeypatch.setattr(cli, "harper_growth_rate", unexpected)
+    out = tmp_path / "x.csv"
+    assert run("sweep", "--delta", "0.3", *flags, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: a 6 x 6 Bloch matrix needs 0.000576 MB, above the 0.000575 MB limit\n"
+    assert not out.exists()
+
+
 def _imported_modules(argv, cwd: Path) -> list[str]:
     """Every module a fresh ``python -m ptsl.cli *argv`` imports, in order."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -520,21 +553,47 @@ def _imported_modules(argv, cwd: Path) -> list[str]:
 
 
 def test_import_loads_no_scipy_submodules(tmp_path):
-    # bands, threshold, sweep and edges run on numpy alone; only evolve
-    # imports scipy (scipy.sparse), inside the functions that use it
+    # every command runs on numpy alone; evolve imported scipy.sparse until
+    # dynamics kept its own tridiagonal rows and (m*, s) planner
     commands = [
         ["bands", *HARPER_FLAGS, "--kpoints", "8", "--out", "bands.csv"],
         ["threshold", "--delta", "0.3", "--q", "4", "--lambda-max", "0.5", "--tol", "1e-2"],
         ["sweep", "--delta", "0.3", "--q-range", "3:4", "--lambda-max", "0.5", "--tol", "1e-2",
          "--kpoints", "8", "--out", "sweep.csv"],
         ["edges", *HARPER_FLAGS, "--n0", "1", "--out", "edges.csv"],
+        ["evolve", *HARPER_FLAGS, "--tmax", "1", "--sites", "12", "--samples", "4", "--out", "x.csv"],
     ]
     for argv in commands:
         imported = _imported_modules(argv, tmp_path)
         assert "numpy" in imported and "ptsl.edge" in imported, argv
         assert not [m for m in imported if m.startswith("scipy")], argv
-    evolve = ["evolve", *HARPER_FLAGS, "--tmax", "1", "--sites", "12", "--samples", "4", "--out", "x.csv"]
-    assert "scipy.sparse" in _imported_modules(evolve, tmp_path)
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # scipy is a test dependency only: with sys.modules["scipy"] = None any
+    # import of it raises, and each command must still exit 0
+    commands = [
+        ["bands", *HARPER_FLAGS, "--kpoints", "8", "--out", "bands.csv"],
+        ["threshold", "--delta", "0.3", "--q", "4", "--lambda-max", "0.5", "--tol", "1e-2"],
+        ["sweep", "--delta", "0.3", "--q-range", "3:4", "--lambda-max", "0.5", "--tol", "1e-2",
+         "--kpoints", "8", "--out", "sweep.csv"],
+        ["edges", *HARPER_FLAGS, "--n0", "1", "--out", "edges.csv"],
+        ["evolve", *HARPER_FLAGS, "--n0", "1", "--tmax", "100", "--sites", "60", "--out", "x.csv"],
+    ]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from ptsl.cli import main\n"
+        f"sys.exit(max(main(argv) for argv in {commands!r}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "growth rate (total norm)" in done.stdout
+    assert (tmp_path / "x.summary.json").exists()
 
 
 def test_evolve_rejects_bad_window(tmp_path, monkeypatch):

@@ -15,20 +15,23 @@ from ptsl import (
     propagate,
     single_site_excitation,
 )
-from ptsl.dynamics import _chain_hamiltonian
+import ptsl.dynamics as dynamics
 
 UNIFORM = SuperlatticeSpec((0.0,), (1.0,))
 
 
 def test_hamiltonian_matches_lattice_pattern():
+    # rows (A[i, i-1], A[i, i], A[i, i+1]) of A = -iH - mu*I, mu = tr(-iH)/N
     spec = build_harper(HarperParams(0.3, 0.134, 1, 6, 1))
-    h = _chain_hamiltonian(spec, 14).toarray()
-    assert h.shape == (14, 14)
+    rows, mu = dynamics._chain_rows(spec, 14)
+    assert rows.shape == (14, 3)
+    diagonal = np.array([-1j * spec.onsite_at(n) for n in range(1, 15)])
+    assert mu == diagonal.sum() / 14
     for n in range(1, 15):
-        assert h[n - 1, n - 1] == spec.onsite_at(n)
+        assert rows[n - 1, 1] == -1j * spec.onsite_at(n) - mu
     for n in range(1, 14):
-        assert h[n - 1, n] == -spec.hopping_at(n)
-    assert h[0, 2] == 0.0
+        assert rows[n - 1, 2] == rows[n, 0] == -1j * -spec.hopping_at(n)
+    assert rows[0, 0] == rows[13, 2] == 0.0
 
 
 def test_default_site_count_outruns_the_wavefront():
@@ -210,16 +213,35 @@ def test_samples_returned_at_requested_times():
 BENCHMARK_ANCHOR = build_harper(HarperParams(0.3, 0.134, 1, 6, 1))
 
 
+def _csr_hamiltonian(spec, n_sites):
+    """scipy CSR tridiagonal H on sites 1..n_sites with open ends, the oracle's own."""
+    import scipy.sparse
+
+    cells = np.arange(n_sites) % spec.q
+    onsite = np.asarray(spec.onsite, dtype=complex)[cells]
+    hopping = -np.asarray(spec.hopping)[cells[:-1]]
+    return scipy.sparse.diags([hopping, onsite, hopping], [-1, 0, 1], format="csr")
+
+
+def _scipy_shifted(spec, n_sites):
+    """scipy's A = -iH - mu*I and mu, as expm_multiply forms them."""
+    import scipy.sparse
+
+    generator = -1j * _csr_hamiltonian(spec, n_sites)
+    mu = generator.trace() / float(n_sites)
+    return generator - mu * scipy.sparse.identity(n_sites, dtype=complex, format="csr"), mu
+
+
 def _scipy_states(spec, n_sites, t_max, num_samples):
     """(interval case, states) of scipy's public expm_multiply from a site-1 excitation.
 
-    onenormest draws from numpy's global generator, so both calls here and
-    the caller's ``propagate`` start from the same generator state.
+    onenormest draws from numpy's global generator; its state is restored
+    after each call.
     """
     from scipy.sparse.linalg import expm_multiply
     from scipy.sparse.linalg._expm_multiply import _expm_multiply_interval
 
-    generator = -1j * _chain_hamiltonian(spec, n_sites)
+    generator = -1j * _csr_hamiltonian(spec, n_sites)
     psi0 = single_site_excitation(n_sites)
     state = np.random.get_state()
     case = _expm_multiply_interval(generator, psi0, 0.0, t_max, num_samples, True, status_only=True)
@@ -238,6 +260,8 @@ def _scipy_states(spec, n_sites, t_max, num_samples):
         (BENCHMARK_ANCHOR, 60, 10.0, 41, 2),  # 40 % 3 == 1
         (build_harper(HarperParams(0.3, 0.0, 1, 6, 1)), 231, 100.0, 200, 2),  # Hermitian chain
         (BENCHMARK_ANCHOR, 231, 100.0, 200, 2),  # the evolve benchmark command at n0 = 1
+        # planned from the powers' norms, then re-planned at 1/5 from ||tA||_1 alone
+        (build_harper(HarperParams(0.3, 1.0, 1, 6, 1)), 60, 100.0, 6, 0),
     ],
 )
 def test_intensities_are_bitwise_scipys(spec, n_sites, t_max, num_samples, case):
@@ -248,27 +272,157 @@ def test_intensities_are_bitwise_scipys(spec, n_sites, t_max, num_samples, case)
 
 
 def test_block_samples_skip_scipys_per_sample_loop(monkeypatch):
-    # scipy's interval algorithm takes an infinity norm for every (sample,
-    # Taylor term) pair and 44 products to return psi0 at t = 0
-    import scipy.sparse._compressed as compressed
-    import scipy.sparse.linalg._expm_multiply as em
-
-    def per_sample_norm(_):
-        raise AssertionError("per-sample stopping test ran")
-
-    monkeypatch.setattr(em, "_exact_inf_norm", per_sample_norm)
+    # scipy's interval algorithm runs the evolve benchmark command on 1,106
+    # products, 44 of them to return psi0 at t = 0, and takes an infinity
+    # norm for every (sample, Taylor term) pair
     products = []
-    matmul_vector = compressed._cs_matrix._matmul_vector
+    matvec = dynamics._matvec
 
-    def counted(self, other):
-        products.append(None)
-        return matmul_vector(self, other)
+    def counted(rows):
+        product = matvec(rows)
+        return lambda x: products.append(None) or product(x)
 
-    monkeypatch.setattr(compressed._cs_matrix, "_matmul_vector", counted)
+    monkeypatch.setattr(dynamics, "_matvec", counted)
     propagate(BENCHMARK_ANCHOR, single_site_excitation(60), 10.0, 41)  # case 2
     products.clear()
     propagate(BENCHMARK_ANCHOR, single_site_excitation(231), 100.0, 200)
-    assert 0 < len(products) <= 1062  # scipy's expm_multiply takes 1,106
+    assert 0 < len(products) <= 1062
+
+
+RANDOM_LATTICE = SuperlatticeSpec((0.4 - 0.3j, -1.1 + 0.2j, 0.7j), (0.8, 1.3, 1.1))
+KERNEL_SPECS = [BENCHMARK_ANCHOR, build_harper(HarperParams(0.3, 1.0, 1, 6, 1)), UNIFORM, RANDOM_LATTICE]
+
+
+PLAN_GRID = [(60, 10.0, 4), (60, 10.0, 31), (60, 10.0, 41), (231, 100.0, 200), (40, 0.5, 3), (40, 30.0, 5), (30, 0.01, 50)]
+# onenormest falls short of ||(tA)^p||_1 here for 10 of the global generator's
+# seeds 0..99, and scipy then plans s = 20 instead of the exact norms' 21
+SHORT_ESTIMATE = (build_harper(HarperParams(0.3, 0.8, 1, 3, 0)), 60, 100.0, 6)
+
+
+def _ptsl_plans(monkeypatch, spec, n_sites, t_max, num_samples):
+    """Every (m*, s) that ``propagate`` plans, in order."""
+    plans = []
+    plan = dynamics._plan
+    monkeypatch.setattr(dynamics, "_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
+    propagate(spec, single_site_excitation(n_sites), t_max, num_samples)
+    return plans
+
+
+def _scipy_plans(spec, n_sites, t_max, num_samples):
+    """scipy's (m*, s) for the interval and, in case 0, for one step of t_max / q."""
+    import scipy.sparse.linalg._expm_multiply as em
+
+    A, _ = _scipy_shifted(spec, n_sites)
+    norm_info = em.LazyOperatorNormInfo(t_max * A, A_1_norm=t_max * em._exact_1_norm(A), ell=2)
+    plans = [em._fragment_3_1(norm_info, 1, 2.0**-53, ell=2)]
+    if num_samples - 1 <= plans[0][1]:
+        norm_info.set_scale(1.0 / (num_samples - 1))
+        plans.append(em._fragment_3_1(norm_info, 1, 2.0**-53, ell=2))
+    return plans
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+@pytest.mark.parametrize("n_sites, t_max, num_samples", PLAN_GRID)
+def test_plan_is_scipys(monkeypatch, spec, n_sites, t_max, num_samples):
+    # (m*, s) from exact norms of the powers equals scipy's from onenormest
+    plans = _ptsl_plans(monkeypatch, spec, n_sites, t_max, num_samples)
+    state = np.random.get_state()
+    expected = _scipy_plans(spec, n_sites, t_max, num_samples)
+    np.random.set_state(state)
+    assert plans == expected
+
+
+def test_plan_takes_exact_norms_where_onenormest_falls_short(monkeypatch):
+    # there scipy's step count depended on the global generator; ptsl's is
+    # that of scipy's code fragment (3.1) fed the exact norms
+    import scipy.sparse.linalg._expm_multiply as em
+
+    plans = _ptsl_plans(monkeypatch, *SHORT_ESTIMATE)
+    exact = lambda M, p, *args: np.linalg.norm(np.linalg.matrix_power(M.toarray(), p), 1)  # noqa: E731
+    monkeypatch.setattr(em, "_onenormest_matrix_power", exact)
+    assert plans == _scipy_plans(*SHORT_ESTIMATE) == [(55, 21), (55, 6)]
+
+
+def test_plan_is_scipys_fragment_on_a_grid_of_norms():
+    # norms from 1e-15 to 1e4, with d_p = ||(tA)^p||_1^(1/p) falling with p at
+    # random, reach every theta_m and each p of code fragment (3.1)
+    import scipy.sparse.linalg._expm_multiply as em
+
+    class Norms:  # what _fragment_3_1 asks of scipy's LazyOperatorNormInfo
+        def __init__(self, one_norm, power_norms, scale):
+            self.one_norm, self.power_norms, self.scale = one_norm, power_norms, scale
+
+        def onenorm(self):
+            return self.scale * self.one_norm
+
+        def alpha(self, p):
+            return max(self.scale * self.power_norms[q - 1] ** (1.0 / q) for q in (p, p + 1))
+
+    rng = np.random.default_rng(0)
+    for one_norm in np.geomspace(1e-15, 1e4, 400).tolist():
+        decay = np.cumprod(rng.uniform(0.6, 1.0, 9))
+        power_norms = [float((one_norm * c) ** p) for p, c in enumerate(decay, 1)]
+        for scale in (1.0, 1.0 / 7):
+            expected = em._fragment_3_1(Norms(one_norm, power_norms, scale), 1, 2.0**-53, ell=2)
+            assert dynamics._plan(one_norm, power_norms, scale) == expected
+
+
+def test_theta_table_and_norm_limit_are_scipys():
+    import scipy.sparse.linalg._expm_multiply as em
+
+    assert dynamics._THETA == em._theta and list(dynamics._THETA) == list(em._theta)
+    limit = dynamics._NORM_ONLY_LIMIT
+    assert em._condition_3_13(limit, 1, 55, 2) and not em._condition_3_13(np.nextafter(limit, np.inf), 1, 55, 2)
+
+
+def test_plan_grid_covers_every_interval_case_and_both_branches(monkeypatch):
+    # the grid of test_plan_is_scipys reaches scipy's three interval cases,
+    # and plans from ||tA||_1 alone (condition (3.13)) as well as from the
+    # norms of the powers
+    cases = {
+        _scipy_states(spec, n, t, num)[0]
+        for spec in (BENCHMARK_ANCHOR, UNIFORM)
+        for n, t, num in [(60, 10.0, 4), (60, 10.0, 31), (60, 10.0, 41)]
+    }
+    assert cases == {0, 1, 2}
+    calls = []
+    power_norms = dynamics._power_norms
+    monkeypatch.setattr(dynamics, "_power_norms", lambda *args: calls.append(None) or power_norms(*args))
+    propagate(BENCHMARK_ANCHOR, single_site_excitation(40), 0.5, 3)
+    assert not calls
+    propagate(BENCHMARK_ANCHOR, single_site_excitation(231), 100.0, 200)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_sites", [231, 2015])
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_matvec_is_bitwise_scipys_sparse_product(spec, n_sites):
+    # numpy's fused complex multiply would differ in about a quarter of the entries
+    A, _ = _scipy_shifted(spec, n_sites)
+    product = dynamics._matvec(dynamics._chain_rows(spec, n_sites)[0])
+    rng = np.random.default_rng(n_sites)
+    for _ in range(20):
+        x = (rng.normal(size=n_sites) + 1j * rng.normal(size=n_sites)) * 10.0 ** rng.uniform(-5, 5, n_sites)
+        x[rng.random(n_sites) < 0.1] = 0.0
+        expected, y = A @ x, product(x)
+        assert np.array_equal(y.real, expected.real) and np.array_equal(y.imag, expected.imag)
+
+
+@pytest.mark.parametrize("n_sites", [6, 40, 41, 45, 200])
+def test_power_norms_are_exact(n_sites):
+    # chains past 38 + q sites lose whole periods from their middle first
+    rows, _ = dynamics._chain_rows(RANDOM_LATTICE, n_sites)
+    dense = np.diag(rows[:, 1]) + np.diag(rows[1:, 0], -1) + np.diag(rows[:-1, 2], 1)
+    expected = [np.linalg.norm(np.linalg.matrix_power(dense, p), 1) for p in range(1, 10)]
+    assert np.allclose(dynamics._power_norms(rows, RANDOM_LATTICE.q), expected, rtol=1e-13, atol=0)
+
+
+def test_propagate_draws_no_random_numbers():
+    # scipy estimates the powers' norms with numpy's global generator
+    state = np.random.get_state()
+    propagate(BENCHMARK_ANCHOR, single_site_excitation(231), 100.0, 200)
+    after = np.random.get_state()
+    assert state[0] == after[0] and np.array_equal(state[1], after[1]) and state[2:] == after[2:]
 
 
 def test_state_memory_is_budgeted_before_allocation(monkeypatch):

@@ -92,8 +92,8 @@ def _chain_rows(spec: SuperlatticeSpec, n_sites: int) -> tuple[np.ndarray, compl
 def _matvec(rows: np.ndarray):
     """x -> A x, rounded as a sparse product: each complex term's four real products rounded before they add,
     each row's three terms summed left to right.  numpy's complex multiply may fuse a.r*b.r - a.i*b.i, which
-    is exact only where one product is 0: the hoppings have real part 0, and the diagonal acts as its real
-    part plus its imaginary part."""
+    rounds alike only where one of the two products is 0: the hoppings have real part 0, and the diagonal
+    acts as its real part plus its imaginary part."""
     padded = np.zeros(len(rows) + 2, dtype=complex)
     lower, real, imag, upper = rows[:, 0].copy(), rows[:, 1].real + 0j, rows[:, 1].imag * 1j, rows[:, 2].copy()
 

@@ -552,18 +552,21 @@ def _imported_modules(argv, cwd: Path) -> list[str]:
     return [line.rsplit("|", 1)[-1].strip() for line in lines]
 
 
+# one command of each kind; evolve plans from the norms of the matrix powers
+NUMPY_ONLY_COMMANDS = [
+    ["bands", *HARPER_FLAGS, "--kpoints", "8", "--out", "bands.csv"],
+    ["threshold", "--delta", "0.3", "--q", "4", "--lambda-max", "0.5", "--tol", "1e-2"],
+    ["sweep", "--delta", "0.3", "--q-range", "3:4", "--lambda-max", "0.5", "--tol", "1e-2",
+     "--kpoints", "8", "--out", "sweep.csv"],
+    ["edges", *HARPER_FLAGS, "--n0", "1", "--out", "edges.csv"],
+    ["evolve", *HARPER_FLAGS, "--n0", "1", "--tmax", "100", "--sites", "60", "--out", "x.csv"],
+]
+
+
 def test_import_loads_no_scipy_submodules(tmp_path):
     # every command runs on numpy alone; evolve imported scipy.sparse until
     # dynamics kept its own tridiagonal rows and (m*, s) planner
-    commands = [
-        ["bands", *HARPER_FLAGS, "--kpoints", "8", "--out", "bands.csv"],
-        ["threshold", "--delta", "0.3", "--q", "4", "--lambda-max", "0.5", "--tol", "1e-2"],
-        ["sweep", "--delta", "0.3", "--q-range", "3:4", "--lambda-max", "0.5", "--tol", "1e-2",
-         "--kpoints", "8", "--out", "sweep.csv"],
-        ["edges", *HARPER_FLAGS, "--n0", "1", "--out", "edges.csv"],
-        ["evolve", *HARPER_FLAGS, "--tmax", "1", "--sites", "12", "--samples", "4", "--out", "x.csv"],
-    ]
-    for argv in commands:
+    for argv in NUMPY_ONLY_COMMANDS:
         imported = _imported_modules(argv, tmp_path)
         assert "numpy" in imported and "ptsl.edge" in imported, argv
         assert not [m for m in imported if m.startswith("scipy")], argv
@@ -572,19 +575,11 @@ def test_import_loads_no_scipy_submodules(tmp_path):
 def test_every_command_runs_with_scipy_blocked(tmp_path):
     # scipy is a test dependency only: with sys.modules["scipy"] = None any
     # import of it raises, and each command must still exit 0
-    commands = [
-        ["bands", *HARPER_FLAGS, "--kpoints", "8", "--out", "bands.csv"],
-        ["threshold", "--delta", "0.3", "--q", "4", "--lambda-max", "0.5", "--tol", "1e-2"],
-        ["sweep", "--delta", "0.3", "--q-range", "3:4", "--lambda-max", "0.5", "--tol", "1e-2",
-         "--kpoints", "8", "--out", "sweep.csv"],
-        ["edges", *HARPER_FLAGS, "--n0", "1", "--out", "edges.csv"],
-        ["evolve", *HARPER_FLAGS, "--n0", "1", "--tmax", "100", "--sites", "60", "--out", "x.csv"],
-    ]
     script = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from ptsl.cli import main\n"
-        f"sys.exit(max(main(argv) for argv in {commands!r}))\n"
+        f"sys.exit(max(main(argv) for argv in {NUMPY_ONLY_COMMANDS!r}))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(

@@ -12,7 +12,7 @@ The phase criterion: the spectrum is entirely real (unbroken PT phase) if and
 only if the eigenvalues of the two matrices at k = 0 and k = -pi/q are real.
 An optional guard grid scans interior k as a numerical cross-check.
 
-A lattice with a parity centre c (``check_pt_symmetry``) is PT symmetric at
+A lattice with a parity centre c (``_doubled_centre``) is PT symmetric at
 every k: the reflection P about c gives ``P conj(H) P = H``, so H is
 unitarily similar to the real matrix ``R = Re H + (Im H) P`` (Bender,
 Berry & Mandilara, J. Phys. A 35, L467 (2002)).  One dispatch serves every

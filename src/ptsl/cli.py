@@ -33,7 +33,8 @@ import numpy as np
 from . import __version__, bloch
 from .bloch import band_gaps, band_structure, breaking_threshold, harper_growth_rate, max_growth_rate
 from .dynamics import (
-    _check_fit_window,
+    _check_run,
+    _window_mask,
     boundary_growth_rate,
     default_site_count,
     growth_rate_estimate,
@@ -228,13 +229,13 @@ def _cmd_evolve(args) -> list[Path]:
             t1, t2 = (float(part) for part in args.fit_window.split(":"))
         except ValueError:
             raise ValueError(f"--fit-window must look like t1:t2, got {args.fit_window!r}") from None
-        # checked before the run, which a long --tmax makes slow
-        _check_fit_window((t1, t2), 0.0, args.tmax)
     else:
         t1, t2 = args.tmax / 2.0, args.tmax
     window = (t1, t2)
     n_sites = default_site_count(spec, args.tmax) if args.sites is None else args.sites
     psi0 = single_site_excitation(n_sites, args.excite)
+    _check_run(spec, n_sites, args.tmax, args.samples)  # first, so the grid below fits in memory
+    _window_mask(np.linspace(0.0, args.tmax, args.samples), window)  # propagate's times, before a long run
     result = propagate(spec, psi0, args.tmax, num_samples=args.samples)
     summary = {
         "sites": n_sites,

@@ -16,9 +16,12 @@ From the block's first state Z come the Taylor vectors K_p = (hA)^p / p! Z,
 once, and the block's samples as one (d, N) array, adding k^p K_p to row k
 term by term.  Each term ends every finished row with one vector comparison
 of the test c1 + c2 <= 2^-53 ||F_k||_inf, and those rows leave with their
-factor e^{k h mu}.  Each row sees the floating-point operations of a loop
-over every (sample, term) pair, in its order.  Sample 0 is psi0.  When
-q <= s, each sample is a step of its own, planned for t_max/q.
+factor e^{k h mu}; the k^p and e^{k h mu} tables are built once per run.
+Each row sees the floating-point operations of a loop over every (sample,
+term) pair, in its order.  Sample 0 is psi0.  When q <= s, each sample is a
+step of its own, planned for t_max/q.  In both loops the exact ||F||_inf is
+taken only where its bound, (||Z||_inf + 1e-300 + every term's c2)(1 +
+1e-12) with Z the state the step or block starts from, lets the test pass.
 
 Flipping the global hopping sign is a gauge transformation
 ``psi_n -> (-1)^n psi_n`` and leaves every intensity invariant, so either
@@ -203,25 +206,47 @@ def _sample_states(rows: np.ndarray, mu: complex, period: int, psi0: np.ndarray,
         return states
 
     d = q // s
+    powers = [np.ones(d)]  # powers[p][k - 1] = float(k**p) as scipy rounds it, each row built once, when first needed
+    phases = np.exp(np.arange(1, d + 1) * h * mu)  # e^{k h mu}
     for start in range(0, q, d):
         k = np.arange(1, min(d, q - start) + 1)  # steps of h past the block start
         term = states[start]
         F = np.tile(term, (k.size, 1))
         c1 = np.abs(term).max()
+        bound = c1 + 1e-300
         for p in range(1, m_star + 1):
             term = h * product(term) / float(p)
-            coeff = (k.astype(object) ** p).astype(float)  # float(k**p), exactly as scipy rounds it
+            if p == len(powers):
+                powers.append(np.array([float(j**p) for j in range(1, d + 1)]))
+            coeff = powers[p][k - 1]
             F += coeff[:, None] * term
             c2 = coeff * np.abs(term).max()
-            done = c1 + c2 <= _TOL * np.abs(F).max(axis=1)
-            if done.any():
-                states[start + k[done]] = np.exp(k[done] * h * mu)[:, None] * F[done]
-                F, k, c2 = F[~done], k[~done], c2[~done]
-                if not k.size:
-                    break
+            bound = bound + c2
+            if (c1 + c2 <= _TOL * bound * (1 + 1e-12)).any():
+                done = c1 + c2 <= _TOL * np.abs(F).max(axis=1)
+                if done.any():
+                    states[start + k[done]] = phases[k[done] - 1, None] * F[done]
+                    F, k, c2, bound = F[~done], k[~done], c2[~done], bound[~done]
+                    if not k.size:
+                        break
             c1 = c2
-        states[start + k] = np.exp(k * h * mu)[:, None] * F
+        states[start + k] = phases[k - 1, None] * F
     return states
+
+
+def _check_run(spec: SuperlatticeSpec, n_sites: int, t_max: float, num_samples: int) -> None:
+    """Reject the sizes and duration that :func:`propagate` refuses, before anything is allocated."""
+    if n_sites < 2 * spec.q:
+        raise ValueError(f"{n_sites} sites cover less than two periods (q={spec.q})")
+    if num_samples < 2:
+        raise ValueError("need at least 2 samples")
+    state_bytes = 24 * num_samples * n_sites
+    if state_bytes > _STATE_BYTES_LIMIT:
+        raise ValueError(
+            f"{num_samples} samples x {n_sites} sites need {state_bytes / 1e6:.6g} MB of states and "
+            f"intensities, above the {_STATE_BYTES_LIMIT / 1e6:.6g} MB limit"
+        )
+    _check_norm_time(spec, t_max)
 
 
 def propagate(
@@ -242,19 +267,9 @@ def propagate(
     """
     psi0 = np.asarray(psi0, dtype=complex)
     n_sites = psi0.size
-    if n_sites < 2 * spec.q:
-        raise ValueError(f"{n_sites} sites cover less than two periods (q={spec.q})")
+    _check_run(spec, n_sites, t_max, num_samples)
     if not np.linalg.norm(psi0) > 0:
         raise ValueError("initial state must be nonzero")
-    if num_samples < 2:
-        raise ValueError("need at least 2 samples")
-    state_bytes = 24 * num_samples * n_sites
-    if state_bytes > _STATE_BYTES_LIMIT:
-        raise ValueError(
-            f"{num_samples} samples x {n_sites} sites need {state_bytes / 1e6:.6g} MB of states and "
-            f"intensities, above the {_STATE_BYTES_LIMIT / 1e6:.6g} MB limit"
-        )
-    _check_norm_time(spec, t_max)
 
     rows, mu = _chain_rows(spec, n_sites)
     times = np.linspace(0.0, t_max, num_samples)
@@ -290,17 +305,23 @@ def _check_fit_window(fit_window: tuple[float, float], start: float, end: float)
         raise ValueError(f"fit window [{t1}, {t2}] outside sampled range [{start}, {end}]")
 
 
+def _window_mask(times: np.ndarray, fit_window: tuple[float, float]) -> np.ndarray:
+    """Which sample times lie in the fit window; rejects a window outside them or holding fewer than 2."""
+    _check_fit_window(fit_window, times[0], times[-1])
+    mask = (times >= fit_window[0]) & (times <= fit_window[1])
+    if mask.sum() < 2:
+        raise ValueError("fit window contains fewer than 2 samples")
+    return mask
+
+
 def _window_slope(times: np.ndarray, series: np.ndarray, fit_window: tuple[float, float]) -> float:
     """Least-squares slope of ln(series) over the window.
 
     The fit runs on times divided by the window end t2 > 0, so sample times
     whose squares underflow still give a well-posed fit.
     """
-    _check_fit_window(fit_window, times[0], times[-1])
-    t1, t2 = fit_window
-    mask = (times >= t1) & (times <= t2)
-    if mask.sum() < 2:
-        raise ValueError("fit window contains fewer than 2 samples")
+    mask = _window_mask(times, fit_window)
+    t2 = fit_window[1]
     if not np.all(series[mask] > 0):
         raise ValueError("series must be positive over the fit window")
     return float(np.polyfit(times[mask] / t2, np.log(series[mask]), 1)[0]) / t2

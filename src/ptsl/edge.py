@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .bloch import _check_matrix_size, _reality_limit, bloch_matrix, diagnose_pt_phase
-from .lattice import SuperlatticeSpec
+from .lattice import SuperlatticeSpec, _energy_scale
 from .numerics import NumericsError, eig_complex, poly_roots
 from .transfer import _walk, period_matrix, symbolic_period_matrix
 
@@ -30,7 +30,6 @@ __all__ = [
     "EdgeStateRecord",
     "RealityReport",
     "RouteMismatchError",
-    "edge_candidate_matrix",
     "edge_spectrum",
     "localization_length",
     "psi_witness",
@@ -71,7 +70,7 @@ class RouteMismatchError(NumericsError):
         )
 
 
-def edge_candidate_matrix(spec: SuperlatticeSpec) -> np.ndarray:
+def _edge_candidate_matrix(spec: SuperlatticeSpec) -> np.ndarray:
     """(q-1) x (q-1) open chain on sites 1..q-1, whose eigenvalues are the candidates.
 
     It is the k = 0 Bloch matrix without its row and column q: at k = 0
@@ -155,14 +154,20 @@ def edge_spectrum(
     """All q-1 candidate energies, classified; sorted by ascending Re E.
 
     With ``route_check`` the eigenvalue route is verified against the roots
-    of the transfer polynomial s21 as multisets within ``route_tol``.
-    A period-1 lattice has no candidates and returns the empty list.
+    of the transfer polynomial s21 as multisets within ``route_tol``, on the
+    lattice divided by the power of two s that puts its largest |V_n| or
+    |kappa_n| in [s, 2s): the tolerance is relative to that scale, and the
+    classes do not depend on the unit of energy.  A period-1 lattice has no
+    candidates.
     """
     q = spec.q
     _check_matrix_size(q)  # the size limit of ``bands``, before the candidate matrix is built
     if q < 2:
         return []
-    candidates = eig_complex(edge_candidate_matrix(spec))
+    unit = 2.0 ** (math.frexp(_energy_scale(spec.onsite, spec.hopping))[1] - 1)  # scale / unit in [1, 2)
+    if unit != 1.0:  # a power of two: dividing and multiplying back are exact away from underflow
+        spec = SuperlatticeSpec(tuple(v / unit for v in spec.onsite), tuple(k / unit for k in spec.hopping))
+    candidates = eig_complex(_edge_candidate_matrix(spec))
     if route_check:
         s21 = symbolic_period_matrix(spec)[2]
         _match_multisets(candidates, poly_roots(s21), route_tol)
@@ -181,7 +186,7 @@ def edge_spectrum(
             length = None
         records.append(
             EdgeStateRecord(
-                energy=complex(energy),
+                energy=complex(energy.real * unit, energy.imag * unit),  # exact, signed zeros kept
                 s11_abs=s11_abs,
                 classification=cls,
                 localization_length=length,

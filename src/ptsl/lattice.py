@@ -5,9 +5,10 @@ energies ``V_1..V_q`` and real hopping rates ``kappa_1..kappa_q`` repeat with
 period ``q`` (``kappa_n`` couples sites ``n`` and ``n+1``).  Energies are
 measured in units of a reference hopping rate, so the numbers here are O(1).
 
-The PT check asks whether some parity center ``c`` (integer or half-integer,
-i.e. a site or a bond midpoint) exists such that reflecting the chain about
-``c`` and conjugating the potential reproduces the lattice.
+The PT check, ``_doubled_centre``, asks whether some parity center ``c``
+(integer or half-integer, i.e. a site or a bond midpoint) exists such that
+reflecting the chain about ``c`` and conjugating the potential reproduces
+the lattice; ``bloch`` uses the centre it finds.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ __all__ = [
     "SuperlatticeSpec",
     "ParametricLattice",
     "HarperParams",
-    "PTSymmetryReport",
     "build_harper",
     "harper_family",
-    "check_pt_symmetry",
     "family_from_json",
 ]
 
@@ -150,34 +149,6 @@ def harper_family(delta: float, p: int, q: int, n0: int = 0) -> ParametricLattic
     sites = np.arange(1, q + 1)
     phase = 2.0 * np.pi * (p / q) * (sites - n0 % q)  # V depends on n0 mod q only
     return ParametricLattice(delta * np.cos(phase), np.sin(phase), (1.0,) * q)
-
-
-@dataclass(frozen=True)
-class PTSymmetryReport:
-    """Outcome of the parity-center scan."""
-
-    symmetric: bool
-    center: float | None = None
-
-    @property
-    def center_kind(self) -> str | None:
-        if self.center is None:
-            return None
-        return "site" if float(self.center).is_integer() else "bond"
-
-
-def check_pt_symmetry(spec: SuperlatticeSpec) -> PTSymmetryReport:
-    """Scan the candidate parity centers c in {0, 1/2, ..., q - 1/2}.
-
-    The lattice is PT symmetric about c iff the periodic extensions satisfy
-    ``V_{2c-n} = V_n*`` and ``kappa_{2c-n-1} = kappa_n`` for all n; the
-    smallest matching center is reported.  Comparisons allow 1e-12 times
-    the largest |V| or |kappa| of the lattice.
-    """
-    doubled = _doubled_centre(np.asarray(spec.onsite), spec.hopping)
-    if doubled < 0:
-        return PTSymmetryReport(symmetric=False, center=None)
-    return PTSymmetryReport(symmetric=True, center=doubled / 2.0)
 
 
 def _energy_scale(onsite, hopping) -> np.ndarray:

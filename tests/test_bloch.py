@@ -19,7 +19,6 @@ from ptsl import (
     bloch_matrix,
     breaking_threshold,
     build_harper,
-    check_pt_symmetry,
     diagnose_pt_phase,
     eig_complex,
     harper_family,
@@ -44,7 +43,7 @@ def real_matrix(spec, k, doubled):
 
 def real_route_eigenvalues(spec, k):
     """Eigenvalues of the real matrix R at one k, solved alone."""
-    return eig_complex(real_matrix(spec, k, int(2 * check_pt_symmetry(spec).center)))
+    return eig_complex(real_matrix(spec, k, _doubled_centre(np.asarray(spec.onsite), spec.hopping)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +159,14 @@ def test_real_matrix_is_unitarily_similar_and_matches_complex_route():
             if well_separated:
                 scale = max(1.0, float(np.max(np.abs(reference))))
                 assert multiset_distance(eig_complex(r), reference) <= 1e-9 * scale
-        report = check_pt_symmetry(spec)
-        assert report.symmetric == bool(centres)
-        assert report.center == (min(centres) / 2 if centres else None)
+        assert _doubled_centre(np.asarray(spec.onsite), spec.hopping) == (min(centres) if centres else -1)
     # site (even) and bond (odd) centres at q = 1, 2 and beyond
     assert {(1, 0), (1, 1), (2, 0), (2, 1), (5, 0), (5, 1)} <= kinds
 
 
 def test_lattice_without_centre_takes_complex_route():
     spec = SuperlatticeSpec((0.1, 0.2 + 1e-3j, 0.5), (1.0, 1.0, 1.0))
-    assert not check_pt_symmetry(spec).symmetric
+    assert _doubled_centre(np.asarray(spec.onsite), spec.hopping) == -1
     ks = np.array([0.0, -math.pi / 3, 0.4])
     values, exact = _spectra(spec, ks)
     assert not exact
@@ -187,7 +184,7 @@ def test_lattice_without_centre_is_judged_relative_to_its_scale(scale):
     # |Im E| was compared with an absolute 1e-9: scaled by 1e-9 this broken
     # lattice read unbroken, with growth rate 0 and no threshold up to 1
     spec = SuperlatticeSpec((0.1 + 0.05j, -0.2 + 0.01j, 0.3 - 0.02j), (1.0, 0.7, 1.3))
-    assert not check_pt_symmetry(spec).symmetric
+    assert _doubled_centre(np.asarray(spec.onsite), spec.hopping) == -1
     scaled = _scaled(spec, scale)
     diagnosis = diagnose_pt_phase(scaled)
     assert not diagnosis.unbroken
@@ -202,7 +199,7 @@ def test_lattice_without_centre_is_judged_relative_to_its_scale(scale):
 
 def test_hermitian_lattice_without_centre_is_exact():
     spec = SuperlatticeSpec((0.1, 0.2, 0.5, -0.3), (1.0, 0.7, 1.0, 1.3))
-    assert not check_pt_symmetry(spec).symmetric
+    assert _doubled_centre(np.asarray(spec.onsite), spec.hopping) == -1
     assert diagnose_pt_phase(spec, guard_points=64).max_abs_imag == 0.0
     assert band_structure(spec, 64).max_abs_imag == 0.0
 

@@ -380,6 +380,22 @@ def test_edges_single_site_lattice(tmp_path, capsys):
     assert "spectrum: real" in printed
 
 
+@pytest.mark.parametrize("unit", [1e3, 1024.0, 1e-3])
+def test_edges_classes_do_not_depend_on_the_unit_of_energy(tmp_path, unit):
+    # the q = 6 anchor at n0 = 1 as JSON exited 1 at 1e3 and 1024 ("transfer
+    # polynomial degrees (3, 3, 3, 3) != (6, 5, 5, 4)") and at 1e-3
+    # ("polynomial unimodularity identity violated")
+    family = harper_family(0.3, 1, 6, 1)
+    classes = []
+    for c in (1.0, unit):
+        lattice, out = tmp_path / f"{c}.json", tmp_path / f"{c}.csv"
+        onsite = [[c * re, c * 0.134 * im] for re, im in zip(family.onsite_real, family.onsite_imag)]
+        lattice.write_text(json.dumps({"q": 6, "onsite": onsite, "hopping": [c] * 6}))
+        assert run("edges", "--lattice", str(lattice), "--out", str(out)) == 0
+        classes.append([row[3] for row in read_csv(out)[1]])
+    assert classes[0] == classes[1] == ["not_in_spectrum"] * 4 + ["edge"]
+
+
 def test_edges_route_mismatch_is_a_numerical_failure(monkeypatch, tmp_path, capsys):
     # RouteMismatchError used to escape main as a traceback
     roots = edge.poly_roots
@@ -515,7 +531,7 @@ def test_edges_refuses_a_candidate_matrix_above_the_size_limit(monkeypatch, tmp_
     def unexpected(*args, **kwargs):
         raise AssertionError("candidate matrix built before the size check")
 
-    monkeypatch.setattr(edge, "edge_candidate_matrix", unexpected)
+    monkeypatch.setattr(edge, "_edge_candidate_matrix", unexpected)
     out = tmp_path / "x.csv"
     assert run("edges", *HARPER_FLAGS, "--n0", "1", "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: a 6 x 6 Bloch matrix needs 0.000576 MB, above the 0.000575 MB limit\n"
@@ -604,6 +620,21 @@ def test_evolve_rejects_bad_window(tmp_path, monkeypatch):
         except SystemExit as exc:
             code = exc.code
         assert code == 2, window
+
+
+@pytest.mark.parametrize("flags", [["--samples", "2"], ["--samples", "20", "--fit-window", "510:550"]])
+def test_evolve_counts_the_window_samples_before_the_run(tmp_path, monkeypatch, capsys, flags):
+    # 10^4 sites to t = 1000 propagated for 2 s before the fit found 1 sample in
+    # the default window [500, 1000], or 1 in [510, 550] of a 20-sample run
+    def unreachable(*args, **kwargs):
+        raise AssertionError("propagated before counting the window's samples")
+
+    monkeypatch.setattr(cli, "propagate", unreachable)
+    out = tmp_path / "x.csv"
+    argv = [*HARPER_FLAGS, "--n0", "1", "--tmax", "1000", "--sites", "10000", *flags, "--out", str(out)]
+    assert run("evolve", *argv) == 2
+    assert capsys.readouterr().err == "error: fit window contains fewer than 2 samples\n"
+    assert not out.exists()
 
 
 def test_evolve_rejects_window_past_a_short_run(tmp_path, capsys):

@@ -271,6 +271,19 @@ def test_intensities_are_bitwise_scipys(spec, n_sites, t_max, num_samples, case)
     assert np.array_equal(result.intensities, np.abs(states) ** 2)
 
 
+def test_broken_phase_states_near_the_float_limit_are_bitwise_scipys():
+    # |psi| reaches 6.8e256, so propagate rejects the squared intensities; the
+    # block loop's norm bound must still admit every stop that scipy makes
+    spec = build_harper(HarperParams(0.3, 1.0, 1, 6, 1))
+    case, expected = _scipy_states(spec, 231, 1000.0, 200)
+    assert case == 2
+    rows, mu = dynamics._chain_rows(spec, 231)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = dynamics._sample_states(rows, mu, spec.q, single_site_excitation(231), 1000.0, 200)
+    assert np.abs(states).max() > 1e256
+    assert np.array_equal(states, expected, equal_nan=True)
+
+
 def test_block_samples_skip_scipys_per_sample_loop(monkeypatch):
     # scipy's interval algorithm runs the evolve benchmark command on 1,106
     # products, 44 of them to return psi0 at t = 0, and takes an infinity

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import multiset_distance, pt_specs, random_pt_spec
 from ptsl import (
@@ -13,7 +15,7 @@ from ptsl import (
     RouteMismatchError,
     SuperlatticeSpec,
     build_harper,
-    edge_candidate_matrix,
+    diagnose_pt_phase,
     edge_spectrum,
     eig_complex,
     localization_length,
@@ -21,7 +23,7 @@ from ptsl import (
     spectrum_reality,
 )
 from ptsl import edge as edge_module
-from ptsl.edge import _match_multisets, _perfect_matching
+from ptsl.edge import _edge_candidate_matrix, _match_multisets, _perfect_matching
 
 
 def harper(n0: int, lam: float = 0.134) -> "SuperlatticeSpec":
@@ -35,27 +37,27 @@ def harper(n0: int, lam: float = 0.134) -> "SuperlatticeSpec":
 
 def test_candidate_matrix_two_site_period():
     spec = SuperlatticeSpec((0.3 + 0.1j, -0.3 - 0.1j), (1.0, 1.0))
-    m = edge_candidate_matrix(spec)
+    m = _edge_candidate_matrix(spec)
     assert m.shape == (1, 1)
     assert m[0, 0] == 0.3 + 0.1j
 
 
 def test_candidate_matrix_three_site_uniform():
     spec = SuperlatticeSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-    m = edge_candidate_matrix(spec)
+    m = _edge_candidate_matrix(spec)
     assert np.allclose(m, [[0.0, -1.0], [-1.0, 0.0]])
     assert multiset_distance(eig_complex(m), [1.0, -1.0]) < 1e-14
 
 
 def test_candidate_matrix_contains_printed_edge_energy():
-    values = eig_complex(edge_candidate_matrix(harper(1)))
+    values = eig_complex(_edge_candidate_matrix(harper(1)))
     assert min(abs(v - (1.7058 + 0.0712j)) for v in values) < 5e-4
 
 
 def test_real_candidate_matrix_takes_real_solver():
     # real V_1..V_{q-1}: the complex-typed matrix still reaches the real solver
     spec = SuperlatticeSpec((0.1, -0.2, 0.3, 0.5j), (1.0, 0.7, 1.0, 1.3))
-    m = edge_candidate_matrix(spec)
+    m = _edge_candidate_matrix(spec)
     assert m.dtype == complex
     assert eig_complex(m).tobytes() == np.linalg.eigvals(m.real).astype(complex).tobytes()
 
@@ -80,14 +82,14 @@ def test_candidate_matrix_eigenvalues_match_explicit_tridiagonal_bytewise():
         for lam in (0.0, 0.134, 1.0)
     ]
     for spec in specs:
-        m, expected = edge_candidate_matrix(spec), _tridiagonal(spec)
+        m, expected = _edge_candidate_matrix(spec), _tridiagonal(spec)
         assert m.shape == expected.shape and np.array_equal(m, expected)
         assert eig_complex(m).tobytes() == eig_complex(expected).tobytes()
 
 
 def test_candidate_matrix_needs_two_sites():
     with pytest.raises(ValueError):
-        edge_candidate_matrix(SuperlatticeSpec((0.0,), (1.0,)))
+        _edge_candidate_matrix(SuperlatticeSpec((0.0,), (1.0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,33 @@ def test_candidate_count_and_route_equivalence(spec):
     # the transfer polynomial s21 internally; a mismatch would raise
     records = edge_spectrum(spec, route_check=True, route_tol=1e-6)
     assert len(records) == spec.q - 1
+
+
+@given(pt_specs(min_q=2, max_q=9), st.floats(-6.0, 6.0))
+@example(harper(1), 3.0)
+@example(harper(1), -3.0)
+@settings(max_examples=50)
+def test_census_and_phase_do_not_depend_on_the_unit_of_energy(spec, exponent):
+    # route 2's coefficients span powers of the unit, so at c = 1e3 the q = 6
+    # anchor raised "transfer polynomial degrees (3, 3, 3, 3) != (6, 5, 5, 4)"
+    c = 10.0**exponent
+    scaled = SuperlatticeSpec(tuple(c * v for v in spec.onsite), tuple(c * k for k in spec.hopping))
+    records, scaled_records = edge_spectrum(spec), edge_spectrum(scaled)
+    assert Counter(r.classification for r in scaled_records) == Counter(r.classification for r in records)
+    energies = [r.energy for r in records]
+    assert multiset_distance([r.energy / c for r in scaled_records], energies) <= 1e-6 * max(map(abs, [1, *energies]))
+    assert diagnose_pt_phase(scaled).unbroken == diagnose_pt_phase(spec).unbroken
+
+
+def test_census_of_a_power_of_two_unit_is_bitwise_the_unit_census():
+    # the lattice is divided by the same power of two at every scale
+    for n0 in range(6):
+        records = edge_spectrum(harper(n0))
+        for c in (2.0**-20, 1024.0):
+            scaled = SuperlatticeSpec(tuple(c * v for v in harper(n0).onsite), (c,) * 6)
+            assert [(r.energy / c, r.s11_abs, r.classification) for r in edge_spectrum(scaled)] == [
+                (r.energy, r.s11_abs, r.classification) for r in records
+            ]
 
 
 def test_route_mismatch_diagnostic_carries_both_multisets():

@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,10 +16,10 @@ from ptsl import (
     ParametricLattice,
     SuperlatticeSpec,
     build_harper,
-    check_pt_symmetry,
     family_from_json,
     harper_family,
 )
+from ptsl.lattice import _doubled_centre
 
 
 # ---------------------------------------------------------------------------
@@ -140,53 +141,46 @@ def test_family_at_zero_is_hermitian_and_conjugation_is_linear(lam):
 
 
 # ---------------------------------------------------------------------------
-# PT-symmetry check
+# PT-symmetry check: twice the smallest parity centre, -1 for none
 # ---------------------------------------------------------------------------
+
+
+def doubled_centre(spec: SuperlatticeSpec) -> int:
+    return _doubled_centre(np.asarray(spec.onsite), spec.hopping)
 
 
 @given(harper_parameter_tuples())
 def test_every_harper_lattice_is_pt_symmetric(params):
     delta, lam, p, q, n0 = params
-    report = check_pt_symmetry(build_harper(HarperParams(delta, lam, p, q, n0)))
-    assert report.symmetric
+    assert doubled_centre(build_harper(HarperParams(delta, lam, p, q, n0))) >= 0
 
 
 def test_harper_anchor_zero_has_site_center_zero():
-    report = check_pt_symmetry(build_harper(HarperParams(0.3, 0.134, 1, 6, 0)))
-    assert report.symmetric
-    assert report.center == 0.0
-    assert report.center_kind == "site"
+    assert doubled_centre(build_harper(HarperParams(0.3, 0.134, 1, 6, 0))) == 0  # even: a site
 
 
 def test_single_site_real_lattice_is_symmetric():
-    assert check_pt_symmetry(SuperlatticeSpec((0.7,), (1.0,))).symmetric
+    assert doubled_centre(SuperlatticeSpec((0.7,), (1.0,))) >= 0
 
 
 def test_two_site_unbalanced_gain_is_not_symmetric():
     # all four candidate centers fail the conjugation constraint
-    report = check_pt_symmetry(SuperlatticeSpec((1j, 2j), (1.0, 1.0)))
-    assert not report.symmetric
-    assert report.center is None
-    assert report.center_kind is None
+    assert doubled_centre(SuperlatticeSpec((1j, 2j), (1.0, 1.0))) == -1
 
 
 def test_bond_centered_parity_detected():
     # V_1 = V_2* with uniform hoppings reflects about the 1-2 bond midpoint
-    report = check_pt_symmetry(SuperlatticeSpec((1.0 + 2.0j, 1.0 - 2.0j), (1.0, 1.0)))
-    assert report.symmetric
-    assert report.center == 0.5
-    assert report.center_kind == "bond"
+    assert doubled_centre(SuperlatticeSpec((1.0 + 2.0j, 1.0 - 2.0j), (1.0, 1.0))) == 1  # odd: a bond
 
 
 @given(pt_specs(min_q=1, max_q=8))
 def test_generated_mirrored_specs_pass_the_check(spec):
-    assert check_pt_symmetry(spec).symmetric
+    assert doubled_centre(spec) >= 0
 
 
 def test_smallest_center_reported():
     # uniform real lattice is symmetric about every center; 0 is the smallest
-    report = check_pt_symmetry(SuperlatticeSpec((0.5, 0.5), (1.0, 1.0)))
-    assert report.center == 0.0
+    assert doubled_centre(SuperlatticeSpec((0.5, 0.5), (1.0, 1.0))) == 0
 
 
 @pytest.mark.parametrize("delta", [1e4, 1e6, 1e12])
@@ -199,15 +193,15 @@ def test_large_amplitude_harper_lattices_keep_their_centre(delta):
             for n0 in range(q):
                 family = harper_family(delta, p, q, n0)
                 for lam in (0.0, 1.0, delta):
-                    assert check_pt_symmetry(family.at(lam)).symmetric, (p, q, n0, lam)
+                    assert doubled_centre(family.at(lam)) >= 0, (p, q, n0, lam)
 
 
 def test_tiny_lattice_without_centre_finds_none():
     # an absolute 1e-12 took every difference of this lattice for rounding
     scale = 1e-12
     spec = SuperlatticeSpec((0.1 * scale, (0.2 + 1e-3j) * scale, 0.5 * scale), (scale,) * 3)
-    assert not check_pt_symmetry(spec).symmetric
-    assert check_pt_symmetry(SuperlatticeSpec((0.1 * scale, 0.1 * scale), (scale,) * 2)).symmetric
+    assert doubled_centre(spec) == -1
+    assert doubled_centre(SuperlatticeSpec((0.1 * scale, 0.1 * scale), (scale,) * 2)) >= 0
 
 
 def test_centre_search_memory_stays_linear_in_the_period():
@@ -217,11 +211,11 @@ def test_centre_search_memory_stays_linear_in_the_period():
     onsite = [0.0] * q
     onsite[500], onsite[501] = 1 + 0.5j, 1 - 0.4j
     specs = [SuperlatticeSpec(tuple(onsite), (1.0,) * q), build_harper(HarperParams(0.3, 0.1, 1, q, 7))]
-    check_pt_symmetry(SuperlatticeSpec((0.5, 0.5), (1.0, 1.0)))  # one-time numpy set-up stays unmeasured
+    doubled_centre(SuperlatticeSpec((0.5, 0.5), (1.0, 1.0)))  # one-time numpy set-up stays unmeasured
     for spec, symmetric in zip(specs, (False, True)):
         tracemalloc.start()
         try:
-            assert check_pt_symmetry(spec).symmetric == symmetric
+            assert (doubled_centre(spec) >= 0) == symmetric
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -234,7 +228,7 @@ def test_centre_test_near_float_limit_warns_nothing():
     spec = SuperlatticeSpec((1e308 + 1e308j, 1e308 - 1e308j), (1.0, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert check_pt_symmetry(spec).center == 0.5
+        assert doubled_centre(spec) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -295,20 +295,17 @@ def propagate(
     )
 
 
-def _check_fit_window(fit_window: tuple[float, float], start: float, end: float) -> None:
-    """Reject a fit window unless 0 <= t1 < t2 and [t1, t2] lies in [start, end] to 1e-12 * end."""
+def _window_mask(times: np.ndarray, fit_window: tuple[float, float]) -> np.ndarray:
+    """Which sample times lie in the fit window [t1, t2]; rejects it unless 0 <= t1 < t2, it lies in
+    [times[0], times[-1]] to 1e-12 * times[-1], and it holds at least 2 samples."""
     t1, t2 = fit_window
     if not t2 > t1 or t1 < 0:
         raise ValueError(f"invalid fit window [{t1}, {t2}]")
+    start, end = times[0], times[-1]
     slack = 1e-12 * end
     if t1 < start - slack or t2 > end + slack:
         raise ValueError(f"fit window [{t1}, {t2}] outside sampled range [{start}, {end}]")
-
-
-def _window_mask(times: np.ndarray, fit_window: tuple[float, float]) -> np.ndarray:
-    """Which sample times lie in the fit window; rejects a window outside them or holding fewer than 2."""
-    _check_fit_window(fit_window, times[0], times[-1])
-    mask = (times >= fit_window[0]) & (times <= fit_window[1])
+    mask = (times >= t1) & (times <= t2)
     if mask.sum() < 2:
         raise ValueError("fit window contains fewer than 2 samples")
     return mask
